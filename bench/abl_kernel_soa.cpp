@@ -1,8 +1,8 @@
 // Ablation: the cell-batched SoA kernel engine (airshed::kernel).
 //
-// Measures wall clock of the scalar reference path vs the blocked
-// engine on both LA models (multiscale SUPG and uniform van Leer),
-// sweeping host threads {1, 4, 8} and — in full mode — the cell block
+// Measures wall clock of the scalar reference oracle (run_scalar_oracle)
+// vs the blocked engine on both LA models (multiscale SUPG and uniform
+// van Leer), sweeping host threads {1, 4, 8} and — in full mode — the cell block
 // size {8, 16, 32, 64} at one thread. The blocked rows carry a `mode`
 // field: "strict" rows (the default LaneMode) must be bit-identical to
 // the scalar oracle (FNV-1a checksum over the final fields, hourly
@@ -82,7 +82,14 @@ struct CasePoint {
 
 using RunFn = std::function<ModelRunResult(const ModelOptions&)>;
 
-CasePoint run_case(const RunFn& run, int hours, bool blocked, int block,
+/// `run` for the blocked rows; `oracle` (run_scalar_oracle) for the scalar
+/// row.
+struct ModelRuns {
+  RunFn run;
+  RunFn oracle;
+};
+
+CasePoint run_case(const ModelRuns& runs, int hours, bool blocked, int block,
                    int threads, int warmup, int repeats,
                    kernel::LaneMode mode = kernel::LaneMode::strict,
                    ModelRunResult* keep = nullptr) {
@@ -97,9 +104,9 @@ CasePoint run_case(const RunFn& run, int hours, bool blocked, int block,
   // The thread axis is the point of the sweep: run the requested count
   // even past the core count (the model default caps at the cores).
   opts.oversubscribe = true;
-  opts.kernel.blocked = blocked;
   opts.kernel.lane_mode = mode;
   if (blocked) opts.kernel.block = block;
+  const RunFn& run = blocked ? runs.run : runs.oracle;
   pt.wall = bench::measure_wall(warmup, repeats, [&] {
     ModelRunResult r = run(opts);
     pt.checksum = result_checksum(r);
@@ -202,19 +209,23 @@ int main(int argc, char** argv) {
     const char* name;
     std::size_t points;
     std::size_t layers;
-    RunFn run;
+    ModelRuns run;
   };
   const Dataset la = la_basin_dataset();
   const UniformDataset la_uniform = la_uniform_dataset();
   const std::vector<ModelCase> cases = {
       {"LA_multiscale", la.mesh().vertex_count(),
        static_cast<std::size_t>(la.layers()),
-       [&](const ModelOptions& o) { return AirshedModel(la, o).run(); }},
+       {[&](const ModelOptions& o) { return AirshedModel(la, o).run(); },
+        [&](const ModelOptions& o) { return run_scalar_oracle(la, o); }}},
       {"LA_uniform", la_uniform.points(),
        static_cast<std::size_t>(la_uniform.layers),
-       [&](const ModelOptions& o) {
-         return UniformAirshedModel(la_uniform, o).run();
-       }},
+       {[&](const ModelOptions& o) {
+          return UniformAirshedModel(la_uniform, o).run();
+        },
+        [&](const ModelOptions& o) {
+          return run_scalar_oracle(la_uniform, o);
+        }}},
   };
 
   bool all_match = true;

@@ -108,13 +108,14 @@ struct ModelOptions {
   /// a 1-core host — see EXPERIMENTS.md). Results are bit-identical either
   /// way; set true to force the requested count (e.g. scheduler tests).
   bool oversubscribe = false;
-  /// Cell-batched SoA kernel engine (airshed::kernel): blocked chemistry,
-  /// vertical diffusion, and transport. Bit-identical to the scalar path
-  /// at every block size and thread count; kernel.blocked = false selects
-  /// the scalar reference oracle.
+  /// Cell-batched SoA kernel knobs (airshed::kernel): chemistry/vertical
+  /// block size and lane mode. With LaneMode::strict the run is
+  /// bit-identical to run_scalar_oracle at every block size and thread
+  /// count.
   kernel::KernelOptions kernel;
-  /// Optional warm-state engine (see ResidentEngine). Results are
-  /// bit-identical with or without one.
+  /// Optional warm-state engine (see ResidentEngine; multiscale runs only —
+  /// UniformAirshedModel rejects one). Results are bit-identical with or
+  /// without one.
   ResidentEngine* engine = nullptr;
   /// Optional frozen batch-scoped rate table consulted before the private
   /// per-solver cache (see chem SharedRateTable; bit-identical either way).
@@ -195,12 +196,21 @@ class AirshedModel {
                         const HourCallback& on_hour = {});
 
  private:
-  ModelRunResult run_hours(int first_hour, ConcentrationField conc,
-                           Array3<double> pm, const HourCallback& on_hour,
+  /// The shared Fig 1 loop (src/core/fig1_loop.hpp); `from` = resume point.
+  ModelRunResult run_hours(const CheckpointRecord* from,
+                           const HourCallback& on_hour,
                            const CheckpointCallback& on_checkpoint);
 
   const Dataset* dataset_;
   ModelOptions opts_;
 };
+
+/// The scalar reference oracle: AirshedModel(dataset, opts).run() through
+/// the same hour loop, but with cell-at-a-time chemistry and vertical
+/// transport and unblocked transport layers; opts.kernel cannot change its
+/// results, and a non-null opts.engine throws ConfigError. Exists for tests
+/// and the kernel ablation bench: the production run must match it bit for
+/// bit under LaneMode::strict.
+ModelRunResult run_scalar_oracle(const Dataset& dataset, ModelOptions opts);
 
 }  // namespace airshed

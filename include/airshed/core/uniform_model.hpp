@@ -42,7 +42,10 @@ UniformDataset build_uniform_dataset(const DatasetSpec& spec, std::size_t nx,
 UniformDataset la_uniform_dataset(ControlScenario controls = {});
 
 /// The Fig 1 loop on the uniform grid (Lx/Ly van-Leer transport, same
-/// chemistry / vertical / aerosol operators as the multiscale model).
+/// hour loop and chemistry / vertical / aerosol operators as the
+/// multiscale model). Honours every ModelOptions field except `engine`:
+/// resident engines hold multiscale state, so run() with a non-null engine
+/// throws ConfigError.
 class UniformAirshedModel {
  public:
   explicit UniformAirshedModel(const UniformDataset& dataset,
@@ -67,12 +70,18 @@ class UniformAirshedModel {
                         const HourCallback& on_hour = {});
 
  private:
-  ModelRunResult run_hours(int first_hour, ConcentrationField conc,
-                           Array3<double> pm, const HourCallback& on_hour,
+  /// The shared Fig 1 loop (src/core/fig1_loop.hpp); `from` = resume point.
+  ModelRunResult run_hours(const CheckpointRecord* from,
+                           const HourCallback& on_hour,
                            const CheckpointCallback& on_checkpoint);
 
   const UniformDataset* dataset_;
   ModelOptions opts_;
 };
+
+/// The scalar reference oracle on the uniform grid (see the Dataset
+/// overload in core/model.hpp).
+ModelRunResult run_scalar_oracle(const UniformDataset& dataset,
+                                 ModelOptions opts);
 
 }  // namespace airshed

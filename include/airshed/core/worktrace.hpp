@@ -59,9 +59,10 @@ struct WorkTrace {
 
   /// Serialization; used to cache expensive physics runs between bench
   /// invocations. save() writes the durable framed container atomically
-  /// (per-hour CRC32C sections); load() also accepts the legacy v1/v2
-  /// plain-text format for pre-existing trace caches. Corrupt framed
-  /// files throw durable::StorageError (path, section, byte offset).
+  /// (per-hour CRC32C sections). load() reads only that container: a
+  /// missing, corrupt or non-container file (including the retired v1/v2
+  /// plain-text traces) throws durable::StorageError (path, section, byte
+  /// offset).
   void save(const std::string& path) const;
   static WorkTrace load(const std::string& path);
 

@@ -205,8 +205,8 @@ class ContainerReader {
 /// Reads a whole file into memory; throws StorageError when unreadable.
 std::string read_file_bytes(const std::string& path);
 
-/// True when `path` starts with the container magic (cheap sniff used to
-/// keep legacy text readers working next to the framed format).
+/// True when `path` starts with the container magic (cheap sniff, e.g. to
+/// skip foreign files in a directory scan).
 bool looks_like_container(const std::string& path);
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@
 // data-parallel executor runs them on one node.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -27,7 +30,7 @@ struct HourlyInputs {
   double kh_km2h = 0.0;
   std::vector<double> kz_m2s;        ///< layers-1 interior interface values
   std::vector<double> layer_temp_k;  ///< domain-mean temperature per layer
-  std::vector<double> vertex_temp_k; ///< surface temperature per vertex
+  std::vector<double> vertex_temp_k; ///< surface temperature per point
 
   /// Surface emission flux (species, vertex) in ppm*m/min, mid-hour.
   Array2<double> surface_flux;
@@ -51,6 +54,14 @@ struct IoWorkModel {
   double output_flops_per_element = 550.0;
   double pretrans_flops_per_element = 125.0;
 };
+
+/// inputhour + pretrans sampled at arbitrary grid points (mesh vertices or
+/// uniform cell centers): every field except nsteps, which depends on the
+/// grid's transport operator (see cfl_steps_per_hour).
+HourlyInputs sample_hourly_inputs(std::span<const Point2> points, int layers,
+                                  const Meteorology& met,
+                                  const EmissionInventory& emissions,
+                                  const IoWorkModel& work, int hour);
 
 /// Generates hourly inputs for a dataset.
 class InputGenerator {
@@ -78,6 +89,20 @@ class InputGenerator {
   IoWorkModel work_;
 };
 
+/// Runtime-determined step count of one hour: the CFL bound of the hour's
+/// wind under transport operator `op` (worst layer governs; aloft layers
+/// have the strongest wind), clamped to the generator's bounds.
+template <typename Transport>
+int cfl_steps_per_hour(const Transport& op, const HourlyInputs& in) {
+  double dt_stable = 1.0;
+  for (const std::vector<Point2>& wind : in.wind_kmh) {
+    dt_stable = std::min(dt_stable, op.stable_dt_hours(wind, in.kh_km2h));
+  }
+  return std::clamp(static_cast<int>(std::ceil(1.0 / dt_stable)),
+                    InputGenerator::kMinStepsPerHour,
+                    InputGenerator::kMaxStepsPerHour);
+}
+
 /// Domain statistics computed by outputhour.
 struct HourlyStats {
   int hour = 0;
@@ -88,6 +113,13 @@ struct HourlyStats {
   double mean_surface_co_ppm = 0.0;
   double total_pm_nitrate = 0.0;  ///< area-weighted surface PM nitrate
 };
+
+/// The surface statistics of outputhour over arbitrary grid points: the
+/// surface-O3 maximum and its location, and `area`-weighted surface means
+/// (total_pm_nitrate stays 0).
+HourlyStats surface_stats(std::span<const Point2> points,
+                          std::span<const double> area,
+                          const ConcentrationField& conc, int hour);
 
 /// The computation of outputhour (the "processing" in output processing).
 HourlyStats compute_hourly_stats(const Dataset& ds,

@@ -46,8 +46,10 @@ constexpr std::size_t padded_lanes(std::size_t width) {
 // lane grouping — each lane's operation sequence is untouched, and the
 // kernel translation units compile with -ffp-contract=off so no clone can
 // contract mul+add into FMA — so every clone is bit-identical to the
-// baseline one (and to the scalar oracle).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// baseline one (and to the scalar oracle). TSan builds skip the clones:
+// their ifunc resolvers run before the TSan runtime and crash at load.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define AIRSHED_LANE_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
 #else
@@ -272,24 +274,17 @@ enum class LaneMode {
   tolerance,
 };
 
-/// Knobs for the blocked execution path, carried in ModelOptions. The
-/// blocked path with LaneMode::strict is bit-identical to the scalar
-/// oracle at every block size and thread count, so those knobs only trade
-/// speed; LaneMode::tolerance trades a bounded relative error for more.
+/// Knobs of the cell-batched kernels, carried in ModelOptions. With
+/// LaneMode::strict every block size and thread count is bit-identical to
+/// the scalar oracle (run_scalar_oracle in core/model.hpp and
+/// core/uniform_model.hpp), so the block only trades speed;
+/// LaneMode::tolerance trades a bounded relative error for more.
 struct KernelOptions {
-  /// Route chemistry columns, vertical diffusion, and transport layers
-  /// through the cell-batched SoA kernels (false = scalar reference path).
-  bool blocked = true;
   /// Cells per chemistry/vertical block (lanes of the SoA panels). 64 is
   /// the measured sweet spot on the reference host (see
   /// BENCH_kernel_soa.json): wide enough to amortize per-round control
   /// overhead, small enough that the hot panels stay cache-resident.
   int block = 64;
-  /// Species per transport inner block (amortizes element/line loads).
-  int species_block = 8;
-  /// Detect NaN/Inf at chemistry block commit (check_block_finite) and
-  /// raise a typed NumericsError naming (hour, block, species, cell).
-  bool tripwire = true;
   /// Numeric profile of the lane-parallel chemistry kernels.
   LaneMode lane_mode = LaneMode::strict;
 

@@ -36,6 +36,11 @@ struct TransportOptions {
                          const TransportOptions&) = default;
 };
 
+/// Species per block of the species-blocked transport layers
+/// (advance_layer_blocked), the block the models run with: it amortizes
+/// the per-element/per-line loads without changing any result.
+inline constexpr int kTransportSpeciesBlock = 8;
+
 struct TransportStepResult {
   int substeps = 0;
   double work_flops = 0.0;

@@ -612,6 +612,9 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
         slot.setup_s += std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - build_t0)
                             .count();
+        // Resident engines hold multiscale solver state: the coarse rerun
+        // runs without one, so it never evicts this lane's warm engine.
+        mo.engine = nullptr;
         ModelRunResult r = UniformAirshedModel(coarse, mo).run();
         digest = field_digest(r.outputs);
         hourly = std::move(r.outputs.hourly);

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "airshed/aerosol/aerosol.hpp"
 #include "airshed/core/executor.hpp"
 #include "airshed/core/model.hpp"
+#include "airshed/core/uniform_model.hpp"
 #include "airshed/core/worktrace.hpp"
 #include "airshed/io/dataset.hpp"
 #include "airshed/util/error.hpp"
@@ -72,6 +74,82 @@ TEST(Model, InitialConditionsAreBackground) {
   EXPECT_EQ(c.dim0(), static_cast<std::size_t>(kSpeciesCount));
   EXPECT_DOUBLE_EQ(c(index_of(Species::O3), 0, 0),
                    background_ppm(Species::O3));
+}
+
+// ------------------------------------------- one hour loop, two grids
+
+/// Both public drivers run the same Fig 1 loop; these cases pin the
+/// behaviour the two used to disagree on.
+struct MultiscaleCase {
+  using Model = AirshedModel;
+  static Dataset dataset() { return test_basin_dataset(); }
+  static std::string name(const Dataset& ds) { return ds.name(); }
+};
+struct UniformCase {
+  using Model = UniformAirshedModel;
+  static UniformDataset dataset() {
+    return build_uniform_dataset(test_basin_spec(), 6, 6);
+  }
+  static std::string name(const UniformDataset& ds) { return ds.name; }
+};
+
+template <typename Case>
+class DriverDrift : public ::testing::Test {};
+using DriverGrids = ::testing::Types<MultiscaleCase, UniformCase>;
+TYPED_TEST_SUITE(DriverDrift, DriverGrids);
+
+TYPED_TEST(DriverDrift, ChemistryErrorNamesGridPointsLayerAndHour) {
+  const auto ds = TypeParam::dataset();
+  ModelOptions opts;
+  opts.hours = 2;
+  opts.host_threads = 2;
+  opts.oversubscribe = true;  // pooled chemistry even on a 1-core host
+  typename TypeParam::Model model(ds, opts);
+
+  // A checkpoint whose surface ozone survives transport but overflows the
+  // chemistry solver.
+  CheckpointRecord rec;
+  rec.dataset = TypeParam::name(ds);
+  rec.next_hour = 1;
+  rec.conc = TypeParam::Model::initial_conditions(ds);
+  rec.pm = Array3<double>(kPmComponents, rec.conc.dim1(), rec.conc.dim2(), 0.0);
+  rec.conc(static_cast<std::size_t>(index_of(Species::O3)), 0, 5) = 1e300;
+  try {
+    model.resume(rec);
+    FAIL() << "overflowing checkpoint survived the run";
+  } catch (const NumericalError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("(grid points ["), std::string::npos) << msg;
+    EXPECT_NE(msg.find(", layer 0, hour 1)"), std::string::npos) << msg;
+  }
+}
+
+TEST(UniformDrift, ProfileHasSetupCountersAndSharedRatesAndRejectsEngine) {
+  const UniformDataset ds = UniformCase::dataset();
+  HostProfile prof;
+  SharedRateTable table;
+  ModelOptions opts;
+  opts.hours = 1;
+  opts.profile = &prof;
+  opts.capture_rates = &table;
+  const ModelRunResult warm = UniformAirshedModel(ds, opts).run();
+  EXPECT_GT(prof.setup_s, 0.0);
+  EXPECT_GT(prof.rate_evals, 0);
+  EXPECT_GT(prof.chem_substeps, 0);
+  EXPECT_GT(table.size(), 0u);  // capture_rates is honoured
+
+  table.freeze();
+  opts.capture_rates = nullptr;
+  opts.shared_rates = &table;
+  const ModelRunResult shared = UniformAirshedModel(ds, opts).run();
+  EXPECT_GT(prof.rate_cache_shared_hits, 0);
+  EXPECT_EQ(shared.outputs.conc, warm.outputs.conc);  // bitwise
+
+  ResidentEngine engine;
+  opts.engine = &engine;
+  EXPECT_THROW(UniformAirshedModel(ds, opts).run(), ConfigError);
+  EXPECT_THROW(run_scalar_oracle(ds, opts), ConfigError);
+  EXPECT_EQ(engine.runs(), 0);
 }
 
 TEST(WorkTraceIo, SaveLoadRoundTrip) {

@@ -5,10 +5,12 @@
 // storage-fault classes of FaultPlan, and vault-based model resume.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -336,8 +338,10 @@ TEST_F(DurableDir, WorkTraceRoundTripIsBitExact) {
   fs::remove(tmp);
 }
 
-TEST_F(DurableDir, LegacyTextTraceStillLoads) {
-  // Hand-written v2 text trace (the format of the committed traces/ files).
+TEST_F(DurableDir, TextTraceIsRejectedByLoadAndVerify) {
+  // The retired v2 plain-text trace format: WorkTrace::load reads only the
+  // framed container, so the text file must fail with the typed storage
+  // error, and `airshed_cli verify` must report it corrupt (exit 1).
   const std::string p = path("legacy.trace");
   {
     std::ofstream os(p);
@@ -346,12 +350,14 @@ TEST_F(DurableDir, LegacyTextTraceStillLoads) {
     os << "10 1 2 1\n";         // input pretrans output nsteps
     os << "3.5\n1.0\n2.0\n4.0 5.0\n";  // aerosol t1[1] t2[1] chem[2]
   }
-  const WorkTrace t = WorkTrace::load(p);
-  EXPECT_EQ(t.dataset, "TEST");
-  EXPECT_EQ(t.species, 2u);
-  ASSERT_EQ(t.hours.size(), 1u);
-  ASSERT_EQ(t.hours[0].steps.size(), 1u);
-  EXPECT_DOUBLE_EQ(t.hours[0].steps[0].chem_column_work[1], 5.0);
+  EXPECT_THROW(WorkTrace::load(p), StorageError);
+#ifdef AIRSHED_CLI_PATH
+  const std::string cmd = std::string("\"") + AIRSHED_CLI_PATH +
+                          "\" verify \"" + p + "\" > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
+#endif
 }
 
 // ---------------------------------------------------------------- vault

@@ -724,12 +724,11 @@ std::uint64_t outputs_checksum(const ModelRunResult& r) {
   return h;
 }
 
-ModelOptions kernel_opts(bool blocked, int block, int threads) {
+ModelOptions kernel_opts(int block, int threads) {
   ModelOptions opts;
   opts.hours = 1;
   opts.host_threads = threads;
   opts.oversubscribe = true;  // keep real multi-thread coverage on small hosts
-  opts.kernel.blocked = blocked;
   opts.kernel.block = block;
   return opts;
 }
@@ -740,11 +739,11 @@ ModelOptions kernel_opts(bool blocked, int block, int threads) {
 TEST(Kernel, MultiscaleModelBlockedMatchesScalarAcrossBlocksAndThreads) {
   const Dataset la = la_basin_dataset();
   const std::uint64_t oracle =
-      outputs_checksum(AirshedModel(la, kernel_opts(false, 32, 1)).run());
+      outputs_checksum(run_scalar_oracle(la, kernel_opts(32, 1)));
   for (int block : {1, 7, 32, 64}) {
     for (int threads : {1, 4, 8}) {
       const std::uint64_t h = outputs_checksum(
-          AirshedModel(la, kernel_opts(true, block, threads)).run());
+          AirshedModel(la, kernel_opts(block, threads)).run());
       EXPECT_EQ(h, oracle) << "block=" << block << " threads=" << threads;
     }
   }
@@ -754,12 +753,12 @@ TEST(Kernel, MultiscaleModelBlockedMatchesScalarAcrossBlocksAndThreads) {
 /// exercises a ragged tail at block 7).
 TEST(Kernel, UniformModelBlockedMatchesScalarAcrossBlocksAndThreads) {
   const UniformDataset la = la_uniform_dataset();
-  const std::uint64_t oracle = outputs_checksum(
-      UniformAirshedModel(la, kernel_opts(false, 32, 1)).run());
+  const std::uint64_t oracle =
+      outputs_checksum(run_scalar_oracle(la, kernel_opts(32, 1)));
   for (int block : {1, 7, 32, 64}) {
     for (int threads : {1, 4, 8}) {
       const std::uint64_t h = outputs_checksum(
-          UniformAirshedModel(la, kernel_opts(true, block, threads)).run());
+          UniformAirshedModel(la, kernel_opts(block, threads)).run());
       EXPECT_EQ(h, oracle) << "block=" << block << " threads=" << threads;
     }
   }
@@ -814,17 +813,6 @@ TEST(Kernel, ModelTripwireRaisesTypedErrorOnPoisonedEmissionStack) {
     EXPECT_GE(e.block(), 0);
     EXPECT_EQ(e.species(), static_cast<int>(Species::SO2));
   }
-
-  // The tripwire is free on clean runs: disabling it must not change the
-  // committed fields bit-for-bit.
-  DatasetSpec clean_spec = test_basin_spec();
-  const Dataset clean = build_dataset(clean_spec);
-  ModelOptions on = kernel_opts(true, 32, 2);
-  on.kernel.tripwire = true;
-  ModelOptions off = kernel_opts(true, 32, 2);
-  off.kernel.tripwire = false;
-  EXPECT_EQ(outputs_checksum(AirshedModel(clean, on).run()),
-            outputs_checksum(AirshedModel(clean, off).run()));
 }
 
 // ------------------------------------------------------------ bench utils
