@@ -1,22 +1,20 @@
 // Throughput bench: the batch engine (PR 9) vs the rebuild-everything
 // baseline.
 //
-// The throughput half of airshed::svc adds three knobs, all required to be
+// The throughput half of airshed::svc adds two knobs, both required to be
 // bit-identity-preserving:
 //
 //   share_inputs  one content-addressed SharedInputCache of immutable
 //                 DatasetBase instances (mesh + meteorology), so scenarios
 //                 differing only in emission controls build the expensive
 //                 base exactly once per batch;
-//   resident      warm per-thread solver engines plus a batch-scoped
-//                 rate-constant table, frozen after a seeded warm round;
 //   schedule      deterministic shortest-expected-work-first dispatch with
 //                 per-dataset fair share, replacing FIFO rounds.
 //
 // Two measurements, reported without adjustment:
 //
 //  1. Reference 32-scenario chaos batch end to end, baseline (share off,
-//     cold engines, fifo) vs engine (share + resident + fair). On a
+//     fifo) vs engine (share + fair). On a
 //     compute-bound mix the model's chemistry hour loop dominates
 //     (cf. BENCH_host_parallel.json phase split: >95% chemistry), so the
 //     end-to-end wall gain is bounded by the amortizable fraction — the
@@ -127,13 +125,12 @@ int main(int argc, char** argv) {
   fs::create_directories(work);
 
   // ------------------------- part 1: reference batch, baseline vs engine
-  const auto run_batch = [&](const std::string& tag, bool share, bool resident,
+  const auto run_batch = [&](const std::string& tag, bool share,
                              svc::Schedule schedule, int threads,
                              obs::MetricsRegistry* metrics) {
     svc::BatchOptions opts = base_opts;
     opts.threads = threads;
     opts.share_inputs = share;
-    opts.resident = resident;
     opts.schedule = schedule;
     opts.archive_dir = (work / ("archive_" + tag)).string();
     opts.metrics = metrics;
@@ -149,9 +146,9 @@ int main(int argc, char** argv) {
   };
 
   obs::MetricsRegistry metrics;
-  const BatchRun baseline = run_batch("baseline", false, false,
-                                      svc::Schedule::Fifo, threads_hi, nullptr);
-  const BatchRun engine = run_batch("engine", true, true, svc::Schedule::Fair,
+  const BatchRun baseline = run_batch("baseline", false, svc::Schedule::Fifo,
+                                      threads_hi, nullptr);
+  const BatchRun engine = run_batch("engine", true, svc::Schedule::Fair,
                                     threads_hi, &metrics);
 
   std::printf("reference batch (end to end, chemistry-bound):\n");
@@ -160,7 +157,7 @@ int main(int argc, char** argv) {
               per_hour(mix.scenarios, baseline.wall_s),
               baseline.report.setup_s);
   std::printf("  %-28s wall %7.2f s  %7.1f scn/h  setup %6.3f s\n",
-              "engine (share+resident+fair)", engine.wall_s,
+              "engine (share+fair)", engine.wall_s,
               per_hour(mix.scenarios, engine.wall_s), engine.report.setup_s);
   const double wall_speedup =
       engine.wall_s > 0.0 ? baseline.wall_s / engine.wall_s : 0.0;
@@ -182,10 +179,7 @@ int main(int argc, char** argv) {
   check(engine.report.input_cache_misses >= 1 &&
             engine.report.input_cache_hits > 0,
         "input cache must serve hits on the reference batch");
-  check(engine.report.engine_reuses > 0,
-        "resident engines must be reused across attempts");
-  check(baseline.report.input_cache_hits == 0 &&
-            baseline.report.engine_reuses == 0,
+  check(baseline.report.input_cache_hits == 0,
         "baseline must not share anything");
 
   // Engine-side counters flow through the obs registry (airshed_cli trace
@@ -196,12 +190,6 @@ int main(int argc, char** argv) {
   check(metrics.counter("svc/input_cache_misses").value() ==
             engine.report.input_cache_misses,
         "obs counter svc/input_cache_misses");
-  check(metrics.counter("svc/rate_cache_shared_hits").value() ==
-            engine.report.rate_cache_shared_hits,
-        "obs counter svc/rate_cache_shared_hits");
-  check(metrics.counter("svc/engine_reuses").value() ==
-            engine.report.engine_reuses,
-        "obs counter svc/engine_reuses");
 
   // Byte-identity sweep: the engine config at 1/2/8 threads lands the
   // same canonical report and manifest bytes.
@@ -210,7 +198,7 @@ int main(int argc, char** argv) {
   const std::string ref_report = engine.report.canonical_json().str();
   for (int threads : {1, 2}) {  // plus threads_hi via the engine run above
     const BatchRun run = run_batch("sweep_t" + std::to_string(threads), true,
-                                   true, svc::Schedule::Fair, threads, nullptr);
+                                   svc::Schedule::Fair, threads, nullptr);
     const bool same_rep = run.report.canonical_json().str() == ref_report;
     const bool same_arc =
         archive_bytes((work / ("archive_sweep_t" + std::to_string(threads)))
@@ -285,15 +273,13 @@ int main(int argc, char** argv) {
     json.key("setup_s").value(run.report.setup_s);
     json.key("input_cache_hits").value(run.report.input_cache_hits);
     json.key("input_cache_misses").value(run.report.input_cache_misses);
-    json.key("rate_cache_shared_hits").value(run.report.rate_cache_shared_hits);
-    json.key("engine_reuses").value(run.report.engine_reuses);
     json.key("rounds").value(run.report.rounds);
     json.key("retries").value(run.report.retries);
     json.end_object();
   };
   emit_config("baseline", baseline,
-              "rebuild-everything: share off, cold engines, fifo");
-  emit_config("engine", engine, "share_inputs + resident + fair schedule");
+              "rebuild-everything: share off, fifo");
+  emit_config("engine", engine, "share_inputs + fair schedule");
   json.key("wall_speedup").value(wall_speedup);
   json.key("wall_note")
       .value("chemistry-bound mix on this host: end-to-end wall is bounded "
@@ -329,7 +315,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "takeaway: sharing, residency and fair scheduling change batch wall\n"
+      "takeaway: sharing and fair scheduling change batch wall\n"
       "time and counters only — the archives stay byte-identical, and the\n"
       "input path the cache amortizes runs %.0fx faster than rebuilding\n"
       "every scenario's base from scratch.\n",

@@ -23,7 +23,7 @@
 //   airshed_cli batch <dataset> [--scenarios N] [--seed S] [--threads N]
 //                     [--max-attempts N] [--out dir] [--no-degrade]
 //                     [--no-journal] [--watchdog-budget F] [--queue-depth N]
-//                     [--max-in-flight N] [--no-share-inputs] [--resident]
+//                     [--max-in-flight N] [--no-share-inputs]
 //                     [--schedule fifo|fair] [--chaos-node-death P]
 //                     [--chaos-straggler P] [--chaos-storage P]
 //                     [--chaos-payload P] [--chaos-numerics P]
@@ -31,11 +31,10 @@
 //       Run a seeded scenario batch under the resilient supervisor:
 //       per-scenario isolation, retry/backoff, deadlines, circuit breaker,
 //       coarse-grid degradation, hung-scenario watchdog, bounded admission.
-//       Throughput engine: shared immutable inputs (on by default; opt out
-//       with --no-share-inputs), warm resident solvers + batch rate table
-//       (--resident), fair-share scheduling (--schedule fair). All three
-//       are bit-identity-preserving; they are pinned in the journal header
-//       so a resume refuses a mismatched configuration.
+//       Throughput: shared immutable inputs (on by default; opt out with
+//       --no-share-inputs) and fair-share scheduling (--schedule fair).
+//       Both are bit-identity-preserving; they are pinned in the journal
+//       header so a resume refuses a mismatched configuration.
 //       Writes <out>/archive/ (durable results + manifest), batch.journal
 //       (crash-resume write-ahead log), batch_report.json and metrics.json.
 //   airshed_cli batch --resume <dir> [--threads N]
@@ -85,8 +84,7 @@ int usage() {
                " [--poison id,...]\n"
                "               [--no-journal] [--watchdog-budget F]"
                " [--queue-depth N] [--max-in-flight N]\n"
-               "               [--no-share-inputs] [--resident]"
-               " [--schedule fifo|fair]\n"
+               "               [--no-share-inputs] [--schedule fifo|fair]\n"
                "               [--chaos-node-death|--chaos-straggler|"
                "--chaos-storage|\n"
                "                --chaos-payload|--chaos-numerics|"
@@ -515,8 +513,6 @@ int cmd_batch(int argc, char** argv) {
         opts.max_in_flight = std::atoi(argv[++i]);
       } else if (std::strcmp(argv[i], "--no-share-inputs") == 0) {
         opts.share_inputs = false;
-      } else if (std::strcmp(argv[i], "--resident") == 0) {
-        opts.resident = true;
       } else if (flag("--schedule")) {
         const char* s = argv[++i];
         if (std::strcmp(s, "fifo") == 0) {
@@ -596,11 +592,9 @@ int cmd_batch(int argc, char** argv) {
               report.infra_faults, report.scenario_faults,
               report.breaker_trips, report.watchdog_fires);
   std::printf("throughput: schedule %s, input cache %lld hit(s) / %lld "
-              "miss(es), %lld shared rate hit(s), %lld engine reuse(s), "
-              "setup %.3f s\n",
+              "miss(es), setup %.3f s\n",
               svc::to_string(report.schedule), report.input_cache_hits,
-              report.input_cache_misses, report.rate_cache_shared_hits,
-              report.engine_reuses, report.setup_s);
+              report.input_cache_misses, report.setup_s);
   if (report.resumed) {
     std::printf("resume: %d commit(s) verified+skipped, %d failure(s) "
                 "replayed, %d artifact(s) quarantined, %d re-executed%s\n",

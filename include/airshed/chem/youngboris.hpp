@@ -74,52 +74,6 @@ struct YoungBorisResult {
   double work_flops = 0.0;     ///< flop-equivalent work (for the work trace)
 };
 
-/// Batch-scoped rate-constant table shared across solver instances
-/// (the airshed::svc resident-engine mode). Lifecycle: one thread fills it
-/// during a seeded warm run (every full Mechanism::compute_rates result is
-/// captured), freeze() is called under a synchronization barrier, and from
-/// then on any number of solver threads consult it read-only — BEFORE
-/// their private caches, so the shared-hit count for a given run is a pure
-/// function of (table contents, run inputs), independent of thread count
-/// and private-cache state. A rate vector is a pure function of the
-/// bitwise (temp_k, sun) key, so table hits return exactly the bytes a
-/// recomputation would produce: results are bit-identical with the table
-/// present, absent, or differently warmed.
-class SharedRateTable {
- public:
-  /// Records the rate vector for (temp_k, sun); duplicate keys keep the
-  /// first copy. Must not be called after freeze() (throws airshed::Error)
-  /// and is not thread safe — the warm phase is single-threaded.
-  void capture(double temp_k, double sun, std::span<const double> k);
-
-  /// Seals the table; lookups from other threads are safe only after the
-  /// freeze has been published to them (e.g. a pool barrier).
-  void freeze() { frozen_ = true; }
-  bool frozen() const { return frozen_; }
-  std::size_t size() const { return table_.size(); }
-
-  /// The frozen rate vector for the bitwise key, or nullptr.
-  const std::vector<double>* find(double temp_k, double sun) const;
-
- private:
-  struct Key {
-    std::uint64_t temp_bits = 0;
-    std::uint64_t sun_bits = 0;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t x = k.temp_bits + 0x9e3779b97f4a7c15ULL * k.sun_bits;
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  std::unordered_map<Key, std::vector<double>, KeyHash> table_;
-  bool frozen_ = false;
-};
-
 /// Reusable integrator (holds scratch space; one instance per thread).
 class YoungBorisSolver {
  public:
@@ -163,22 +117,9 @@ class YoungBorisSolver {
   /// epoch. Calling with the current epoch is a no-op.
   void set_rate_epoch(std::int64_t epoch);
 
-  /// Wires the batch-scoped shared table (resident-engine mode). `shared`
-  /// (may be null) is consulted before the private cache on every rate
-  /// lookup; `capture` (may be null) receives every full evaluation this
-  /// solver performs — the warm-phase collection hook. Results are
-  /// bit-identical for every combination (see SharedRateTable).
-  void set_shared_rates(const SharedRateTable* shared,
-                        SharedRateTable* capture = nullptr) {
-    shared_rates_ = shared;
-    capture_rates_ = capture;
-  }
-
   /// Rate-constant evaluations skipped / performed since construction.
   long long rate_cache_hits() const { return rate_cache_hits_; }
   long long rate_evals() const { return rate_evals_; }
-  /// Lookups served by the batch-scoped shared table.
-  long long rate_cache_shared_hits() const { return rate_cache_shared_hits_; }
   /// Single-victim evictions performed on cache overflow.
   long long rate_cache_evictions() const { return rate_cache_evictions_; }
   /// Distinct (temp_k, sun) keys currently cached.
@@ -198,7 +139,6 @@ class YoungBorisSolver {
   long long substeps_total() const { return substeps_total_; }
 
  private:
-  void load_rates(double temp_k, double sun);
   /// Returns a view of the rate vector for (temp_k, sun) — the cached copy
   /// when caching is on (valid until the next cache mutation), otherwise
   /// the member scratch.
@@ -247,10 +187,7 @@ class YoungBorisSolver {
   };
   std::unordered_map<RateKey, CachedRates, RateKeyHash> rate_cache_;
   std::int64_t rate_epoch_ = 0;
-  const SharedRateTable* shared_rates_ = nullptr;
-  SharedRateTable* capture_rates_ = nullptr;
   long long rate_cache_hits_ = 0;
-  long long rate_cache_shared_hits_ = 0;
   long long rate_evals_ = 0;
   long long rate_cache_evictions_ = 0;
   long long lane_evals_dense_ = 0;

@@ -24,8 +24,7 @@
 // across platforms and thread counts. The output is a standard DatasetSpec
 // (base geometry + met + refinement cores, with the raster attached as the
 // emission overlay), so generated cities flow through build_dataset_base,
-// svc::SharedInputCache, the resident-engine mode and the batch journal
-// unchanged.
+// svc::SharedInputCache and the batch journal unchanged.
 #pragma once
 
 #include <cstdint>

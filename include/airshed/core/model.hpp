@@ -17,7 +17,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "airshed/chem/youngboris.hpp"
 #include "airshed/core/worktrace.hpp"
@@ -34,8 +33,8 @@ namespace airshed {
 /// never feeds back into the numerics).
 struct HostProfile {
   int threads = 0;          ///< resolved worker-pool size
-  double setup_s = 0.0;     ///< wall seconds building (or re-binding) the
-                            ///< worker pool and per-thread solver instances
+  double setup_s = 0.0;     ///< wall seconds building the worker pool and
+                            ///< per-thread solver instances
   double transport_s = 0.0; ///< wall seconds inside pooled transport phases
   double chemistry_s = 0.0; ///< wall seconds inside pooled chemistry phases
   double aerosol_s = 0.0;   ///< wall seconds in the (serial) aerosol phase
@@ -43,13 +42,13 @@ struct HostProfile {
   /// CPU seconds each pool thread spent inside parallel blocks.
   std::vector<double> thread_busy_s;
 
-  // Chemistry-solver counters for THIS run (snapshot deltas, so a reused
-  // ResidentEngine never double-counts), aggregated over the per-thread
-  // solvers when the run finishes. record_metrics(HostProfile) exports
-  // them through the obs MetricsRegistry, so `airshed_cli trace` prints
-  // them per run.
+  // Chemistry-solver counters for this run, aggregated over its per-thread
+  // solvers when the run finishes. record_metrics(HostProfile) exports them
+  // through the obs MetricsRegistry, so `airshed_cli trace` prints them per
+  // run.
   long long rate_cache_hits = 0;      ///< rate-constant cache hits
-  /// Lookups served by the batch-scoped SharedRateTable (resident mode).
+  /// Always 0: the batch-scoped shared rate table is gone. Kept so
+  /// existing readers still compile; nothing writes it.
   long long rate_cache_shared_hits = 0;
   long long rate_evals = 0;           ///< full rate-constant evaluations
   long long rate_cache_evictions = 0; ///< single-victim cache evictions
@@ -61,34 +60,6 @@ struct HostProfile {
   long long lane_evals_live = 0;
   long long block_rounds = 0;   ///< lockstep rounds of the blocked solver
   long long chem_substeps = 0;  ///< accepted chemistry substeps (all cells)
-};
-
-/// Warm per-run solver state that survives between model runs (the
-/// airshed::svc resident-engine mode). A run handed an engine reuses the
-/// per-thread SupgTransport / chemistry / vertical-transport instances and
-/// their scratch when the engine was last used with the same immutable
-/// dataset base (by shared_ptr identity — see io/dataset.hpp), the same
-/// transport/chemistry/kernel options, and the same thread count;
-/// otherwise the state is rebuilt in place. Reuse skips mesh-sized
-/// allocations and operator assembly, and is observable only through
-/// HostProfile::setup_s: solver caches are epoch-cleared per run, so
-/// results are bit-identical with or without an engine. NOT thread safe —
-/// one engine serves one worker thread's runs at a time.
-class ResidentEngine {
- public:
-  ResidentEngine();
-  ~ResidentEngine();
-  ResidentEngine(ResidentEngine&&) noexcept;
-  ResidentEngine& operator=(ResidentEngine&&) noexcept;
-
-  /// Runs served by this engine, and the subset that reused warm state.
-  long long runs() const;
-  long long reuses() const;
-
- private:
-  friend class AirshedModel;
-  struct State;
-  std::unique_ptr<State> state_;
 };
 
 struct ModelOptions {
@@ -113,16 +84,6 @@ struct ModelOptions {
   /// bit-identical to run_scalar_oracle at every block size and thread
   /// count.
   kernel::KernelOptions kernel;
-  /// Optional warm-state engine (see ResidentEngine; multiscale runs only —
-  /// UniformAirshedModel rejects one). Results are bit-identical with or
-  /// without one.
-  ResidentEngine* engine = nullptr;
-  /// Optional frozen batch-scoped rate table consulted before the private
-  /// per-solver cache (see chem SharedRateTable; bit-identical either way).
-  const SharedRateTable* shared_rates = nullptr;
-  /// Optional capture sink: every full rate evaluation this run performs
-  /// is recorded (the warm phase that fills `shared_rates` for the batch).
-  SharedRateTable* capture_rates = nullptr;
   /// Optional host-execution profile sink (see HostProfile).
   HostProfile* profile = nullptr;
   /// Optional host-span trace recorder (airshed::obs): model phases,
@@ -208,9 +169,8 @@ class AirshedModel {
 /// The scalar reference oracle: AirshedModel(dataset, opts).run() through
 /// the same hour loop, but with cell-at-a-time chemistry and vertical
 /// transport and unblocked transport layers; opts.kernel cannot change its
-/// results, and a non-null opts.engine throws ConfigError. Exists for tests
-/// and the kernel ablation bench: the production run must match it bit for
-/// bit under LaneMode::strict.
+/// results. Exists for tests and the kernel ablation bench: the production
+/// run must match it bit for bit under LaneMode::strict.
 ModelRunResult run_scalar_oracle(const Dataset& dataset, ModelOptions opts);
 
 }  // namespace airshed

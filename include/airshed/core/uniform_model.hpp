@@ -43,9 +43,7 @@ UniformDataset la_uniform_dataset(ControlScenario controls = {});
 
 /// The Fig 1 loop on the uniform grid (Lx/Ly van-Leer transport, same
 /// hour loop and chemistry / vertical / aerosol operators as the
-/// multiscale model). Honours every ModelOptions field except `engine`:
-/// resident engines hold multiscale state, so run() with a non-null engine
-/// throws ConfigError.
+/// multiscale model).
 class UniformAirshedModel {
  public:
   explicit UniformAirshedModel(const UniformDataset& dataset,

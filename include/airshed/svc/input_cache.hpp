@@ -6,7 +6,7 @@
 // The cache keys bases on the FNV-1a digest of the base-relevant
 // DatasetSpec fields (io/dataset.hpp: dataset_base_digest) and publishes
 // each as shared_ptr<const DatasetBase> — immutable by type, shared by
-// address, so resident engines can key solver reuse on mesh identity.
+// address.
 //
 // Concurrency: any number of threads may request any key. Exactly one
 // build ever runs per distinct digest (the first requester builds while

@@ -38,10 +38,11 @@ class BatchJournal {
  public:
   static constexpr const char* kFormat = "airshed-batch-journal";
   /// v2: decision blob gains schedule / share_inputs / resident; Commit
-  /// and Failed records gain the attempt's queue wait (rounds). Version is
-  /// checked on replay — a v1 journal cannot silently resume under v2
-  /// decisions (and vice versa).
-  static constexpr std::uint32_t kVersion = 2;
+  /// and Failed records gain the attempt's queue wait (rounds).
+  /// v3: `resident` leaves the decision blob (resident mode is gone).
+  /// Version is checked on replay — an older journal cannot silently
+  /// resume under newer decisions (and vice versa).
+  static constexpr std::uint32_t kVersion = 3;
 
   enum class RecordType : std::uint32_t {
     Header = 1,

@@ -115,10 +115,12 @@ struct ChaosOptions {
   }
 };
 
-/// Dispatch-order policy for the per-round runnable set. Only observable
-/// when max_in_flight caps a round: every runnable scenario still runs
-/// every round otherwise, and outcomes are schedule-independent either
-/// way (decisions stay pure per scenario).
+/// Dispatch-order policy for the per-round runnable set. Outcomes are
+/// schedule-independent (decisions stay pure per scenario), but wall time
+/// is not: the pool deals the dispatch order out to its lanes in fixed
+/// contiguous blocks, so the order decides which lane runs which scenario
+/// and with it the round's makespan. Under max_in_flight it also decides
+/// which scenarios run in the round at all.
 enum class Schedule {
   /// Dispatch in scenario-id order (the historical policy).
   Fifo,
@@ -173,7 +175,7 @@ struct BatchOptions {
   /// lowest pending ids first). 0 = unbounded. Purely a throttle: it
   /// changes round structure, never outcomes.
   int max_in_flight = 0;
-  /// Dispatch-order policy under the in-flight cap (see Schedule).
+  /// Dispatch-order policy (see Schedule).
   Schedule schedule = Schedule::Fifo;
   /// Share immutable dataset bases (mesh + meteorology + layers) across
   /// scenarios through a content-addressed SharedInputCache: scenarios
@@ -181,10 +183,9 @@ struct BatchOptions {
   /// bit-identical with sharing on or off (the base build is pure in the
   /// spec); off rebuilds every base per scenario (the historical cost).
   bool share_inputs = true;
-  /// Resident-engine mode: workers keep warm per-thread solver instances
-  /// across attempts (core ResidentEngine) and consult a batch-scoped
-  /// frozen rate-constant table seeded by the first attempt of the batch
-  /// (chem SharedRateTable). Results are bit-identical on or off.
+  /// Accepted and ignored: the resident-engine mode it selected (warm
+  /// per-lane solvers, a batch-scoped rate table) saved under 0.2% of any
+  /// measured batch and is gone. Kept so existing callers still compile.
   bool resident = false;
   ChaosOptions chaos;
   /// Durable archive directory; empty = no on-disk archive (payload /
@@ -274,10 +275,10 @@ struct BatchReport {
 
   // Throughput accounting. `schedule` and the queue-wait histogram are
   // deterministic given (batch_seed, specs, options) and go into
-  // canonical_json; the sharing/engine counters and setup seconds below
-  // them depend on share_inputs / resident / wall clock and are reported
-  // ONLY here and through record_metrics — canonical_json stays
-  // byte-identical with sharing and residency on or off.
+  // canonical_json; the input-cache counters and setup seconds below
+  // them depend on share_inputs / wall clock and are reported ONLY here
+  // and through record_metrics — canonical_json stays byte-identical with
+  // sharing on or off.
   Schedule schedule = Schedule::Fifo;
   /// Histogram of AttemptRecord::wait_rounds over all executed attempts,
   /// bucket i = attempts that waited exactly i rounds (last bucket: >=).
@@ -285,18 +286,19 @@ struct BatchReport {
 
   long long input_cache_hits = 0;    ///< shared-base requests served warm
   long long input_cache_misses = 0;  ///< distinct bases built
-  long long rate_cache_shared_hits = 0;  ///< frozen-table rate lookups
-  long long engine_reuses = 0;  ///< attempts that reused a warm engine
+  /// Always 0 (resident mode is gone); kept so existing readers compile.
+  long long rate_cache_shared_hits = 0;
+  long long engine_reuses = 0;  ///< always 0, as above
   double setup_s = 0.0;  ///< wall seconds in dataset build + solver setup
 
   std::vector<ScenarioResult> results;  ///< scenario-id order
   std::vector<BreakerEvent> breaker_events;
 
   /// Thread-count-invariant JSON ("airshed-batch-report-v3"): everything
-  /// above except the sharing/engine counters (see the field comments),
-  /// no wall-clock and no thread count — byte-identical for the same
+  /// above except the input-cache counters (see the field comments), no
+  /// wall-clock and no thread count — byte-identical for the same
   /// (batch_seed, specs, options) at 1, 2 or N threads, with input
-  /// sharing and resident engines on or off.
+  /// sharing on or off.
   obs::JsonWriter canonical_json() const;
 };
 

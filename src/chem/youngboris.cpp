@@ -10,22 +10,6 @@
 
 namespace airshed {
 
-void SharedRateTable::capture(double temp_k, double sun,
-                              std::span<const double> k) {
-  AIRSHED_REQUIRE(!frozen_, "SharedRateTable::capture after freeze()");
-  const Key key{std::bit_cast<std::uint64_t>(temp_k),
-                std::bit_cast<std::uint64_t>(sun)};
-  table_.try_emplace(key, k.begin(), k.end());
-}
-
-const std::vector<double>* SharedRateTable::find(double temp_k,
-                                                 double sun) const {
-  const Key key{std::bit_cast<std::uint64_t>(temp_k),
-                std::bit_cast<std::uint64_t>(sun)};
-  const auto it = table_.find(key);
-  return it != table_.end() ? &it->second : nullptr;
-}
-
 YoungBorisSolver::YoungBorisSolver(const Mechanism& mech,
                                    YoungBorisOptions opts)
     : mech_(&mech), opts_(opts) {
@@ -70,48 +54,10 @@ void YoungBorisSolver::evict_one_rate_entry() {
   ++rate_cache_evictions_;
 }
 
-void YoungBorisSolver::load_rates(double temp_k, double sun) {
-  // Batch-scoped shared table first: checked before the private cache so
-  // the shared-hit count never depends on what this solver ran earlier.
-  if (shared_rates_) {
-    if (const std::vector<double>* k = shared_rates_->find(temp_k, sun)) {
-      std::copy(k->begin(), k->end(), rates_.begin());
-      ++rate_cache_shared_hits_;
-      return;
-    }
-  }
-  if (!opts_.cache_rates || opts_.rate_cache_entries == 0) {
-    mech_->compute_rates(temp_k, sun, rates_);
-    ++rate_evals_;
-    if (capture_rates_) capture_rates_->capture(temp_k, sun, rates_);
-    return;
-  }
-  const RateKey key{std::bit_cast<std::uint64_t>(temp_k),
-                    std::bit_cast<std::uint64_t>(sun)};
-  if (const auto it = rate_cache_.find(key); it != rate_cache_.end()) {
-    std::copy(it->second.k.begin(), it->second.k.end(), rates_.begin());
-    it->second.used = true;
-    ++rate_cache_hits_;
-    return;
-  }
-  mech_->compute_rates(temp_k, sun, rates_);
-  ++rate_evals_;
-  if (capture_rates_) capture_rates_->capture(temp_k, sun, rates_);
-  if (rate_cache_.size() >= opts_.rate_cache_entries) evict_one_rate_entry();
-  rate_cache_.emplace(key, CachedRates{rates_, true});
-}
-
 std::span<const double> YoungBorisSolver::rates_ref(double temp_k, double sun) {
-  if (shared_rates_) {
-    if (const std::vector<double>* k = shared_rates_->find(temp_k, sun)) {
-      ++rate_cache_shared_hits_;
-      return *k;  // frozen table: the span stays valid for the whole batch
-    }
-  }
   if (!opts_.cache_rates || opts_.rate_cache_entries == 0) {
     mech_->compute_rates(temp_k, sun, rates_);
     ++rate_evals_;
-    if (capture_rates_) capture_rates_->capture(temp_k, sun, rates_);
     return rates_;
   }
   const RateKey key{std::bit_cast<std::uint64_t>(temp_k),
@@ -123,7 +69,6 @@ std::span<const double> YoungBorisSolver::rates_ref(double temp_k, double sun) {
   }
   mech_->compute_rates(temp_k, sun, rates_);
   ++rate_evals_;
-  if (capture_rates_) capture_rates_->capture(temp_k, sun, rates_);
   if (rate_cache_.size() >= opts_.rate_cache_entries) evict_one_rate_entry();
   return rate_cache_.emplace(key, CachedRates{rates_, true})
       .first->second.k;
@@ -143,8 +88,9 @@ YoungBorisResult YoungBorisSolver::integrate(
 
   // Temperature and photolysis are frozen over the chemistry step, so rate
   // constants are computed once — and reused across cells with bitwise
-  // identical (temp_k, sun) when the rate cache is on.
-  load_rates(temp_k, sun);
+  // identical (temp_k, sun) when the rate cache is on. `kr` stays valid:
+  // nothing below touches the cache.
+  const std::span<const double> kr = rates_ref(temp_k, sun);
 
   auto add_source = [&](std::span<double> p) {
     if (source_ppm_min.empty()) return;
@@ -163,7 +109,7 @@ YoungBorisResult YoungBorisSolver::integrate(
     h = std::min(h, dt_total_min - t);
 
     if (!pl_valid) {
-      mech_->production_loss(c, rates_, p0_, l0_);
+      mech_->production_loss(c, kr, p0_, l0_);
       add_source(p0_);
       ++result.corrector_evals;
       pl_valid = true;
@@ -187,7 +133,7 @@ YoungBorisResult YoungBorisSolver::integrate(
     int iters_used = 0;
     for (int iter = 0; iter < opts_.max_corrector_iters; ++iter) {
       iters_used = iter + 1;
-      mech_->production_loss(cp_, rates_, p1_, l1_);
+      mech_->production_loss(cp_, kr, p1_, l1_);
       add_source(p1_);
       ++result.corrector_evals;
 

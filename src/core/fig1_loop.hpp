@@ -21,8 +21,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,44 +50,16 @@ struct ChemBlockScratch {
   std::vector<const double*> elev;
 };
 
-/// One instance of every stateful operator per pool thread.
-template <typename Transport>
-struct ThreadSolvers {
-  par::PerThread<Transport> transport;
-  par::PerThread<YoungBorisBlockSolver> chem;
-  par::PerThread<VerticalTransport> vert;
-  par::PerThread<ChemBlockScratch> scratch;
-};
-
-/// Per-thread solver state plus the key it was built for: a
-/// ResidentEngine's warm state (multiscale) or a run-local throwaway.
-/// `base` keeps the grid alive while the solvers hold references into it.
-template <typename Transport>
-struct SolverCache {
-  std::shared_ptr<const void> base;
-  TransportOptions transport;
-  YoungBorisOptions chem_opts;
-  kernel::KernelOptions kernel;
-  int nthreads = 0;
-  std::int64_t run_serial = 0;  ///< distinct rate-epoch base per run
-  long long runs = 0;
-  long long reuses = 0;
-  std::optional<ThreadSolvers<Transport>> solvers;
-};
-
-/// Adds `sign` x the solver's chemistry counters to `prof`. Subtracting
-/// at run start and adding at run end leaves this run's deltas, so a
-/// reused ResidentEngine solver never leaks a previous run's counts.
-inline void add_counters(HostProfile& prof, const YoungBorisSolver& yb,
-                         long long sign) {
-  prof.rate_cache_hits += sign * yb.rate_cache_hits();
-  prof.rate_cache_shared_hits += sign * yb.rate_cache_shared_hits();
-  prof.rate_evals += sign * yb.rate_evals();
-  prof.rate_cache_evictions += sign * yb.rate_cache_evictions();
-  prof.lane_evals_dense += sign * yb.lane_evals_dense();
-  prof.lane_evals_live += sign * yb.lane_evals_live();
-  prof.block_rounds += sign * yb.block_rounds();
-  prof.chem_substeps += sign * yb.substeps_total();
+/// Adds the solver's chemistry counters to `prof` (solvers are built per
+/// run, so their lifetime totals are this run's counts).
+inline void add_counters(HostProfile& prof, const YoungBorisSolver& yb) {
+  prof.rate_cache_hits += yb.rate_cache_hits();
+  prof.rate_evals += yb.rate_evals();
+  prof.rate_cache_evictions += yb.rate_cache_evictions();
+  prof.lane_evals_dense += yb.lane_evals_dense();
+  prof.lane_evals_live += yb.lane_evals_live();
+  prof.block_rounds += yb.block_rounds();
+  prof.chem_substeps += yb.substeps_total();
 }
 
 /// Production kernels: species-blocked transport layers and SoA cell-block
@@ -183,23 +153,15 @@ inline ConcentrationField background_field(int layers, std::size_t points) {
 /// Runs the Fig 1 loop from hour 0 and background fields, or — when
 /// `from` is set — resumes from that checkpoint (ConfigError unless it
 /// names this grid's dataset, matches its field shapes and lies inside the
-/// run horizon). `engine` is the warm solver state behind opts.engine
-/// (nullptr: a run-local throwaway; a non-null opts.engine without one
-/// throws ConfigError).
+/// run horizon).
 template <typename Kernel, typename Grid>
 ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
-                         SolverCache<typename Grid::Transport>* engine,
                          const CheckpointRecord* from,
                          const HourCallback& on_hour,
                          const CheckpointCallback& on_checkpoint) {
   using Transport = typename Grid::Transport;
   const std::size_t nv = grid.xy().size();
   const int nl = grid.layers();
-  if (opts.engine && !engine) {
-    throw ConfigError(
-        "ModelOptions::engine holds multiscale solver state; this run takes "
-        "engine = nullptr");
-  }
   if (from) {
     const std::string prefix =
         std::string(Grid::kModel) + "::resume: checkpoint ";
@@ -261,56 +223,21 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
   const std::size_t cell_block =
       static_cast<std::size_t>(std::max(1, ko.block));
 
-  // Reuse is keyed on the grid's identity plus the option set and thread
-  // count; anything else rebuilds in place.
-  SolverCache<Transport> local;
-  SolverCache<Transport>& st = engine ? *engine : local;
-  const std::shared_ptr<const void> base = grid.base();
-  const bool reuse = st.solvers.has_value() && st.base == base &&
-                     st.transport == opts.transport &&
-                     st.chem_opts == opts.chem && st.kernel == ko &&
-                     st.nthreads == nthreads;
-  ++st.runs;
-  if (reuse) {
-    ++st.reuses;
-  } else {
-    st.solvers.reset();
-    st.base = base;
-    st.transport = opts.transport;
-    st.chem_opts = opts.chem;
-    st.kernel = ko;
-    st.nthreads = nthreads;
-    st.solvers.emplace(ThreadSolvers<Transport>{
-        par::PerThread<Transport>(
-            nthreads, [&] { return grid.transport(opts.transport); }),
-        par::PerThread<YoungBorisBlockSolver>(
-            nthreads,
-            [&] {
-              return YoungBorisBlockSolver(Mechanism::cb4_condensed(),
-                                           opts.chem, ko.lane_mode);
-            }),
-        par::PerThread<VerticalTransport>(
-            nthreads, [&] { return VerticalTransport(grid.layer_dz_m()); }),
-        par::PerThread<ChemBlockScratch>(
-            nthreads, [&] { return ChemBlockScratch(cell_block); }),
-    });
-  }
-  ThreadSolvers<Transport>& solvers = *st.solvers;
-  // Distinct per-run epoch base: set_rate_epoch(base + h) clears the
-  // private rate caches at every hour of every run, so a reused solver can
-  // never serve a previous run's epoch (hits stay a pure per-run function;
-  // results would be bit-identical even if it could — cache purity).
-  const std::int64_t epoch_base = st.run_serial++ << 20;
-  for (YoungBorisBlockSolver& solver : solvers.chem) {
-    solver.scalar().set_shared_rates(opts.shared_rates, opts.capture_rates);
-  }
+  // One instance of every stateful operator per pool thread.
+  par::PerThread<Transport> transport_ops(
+      nthreads, [&] { return grid.transport(opts.transport); });
+  par::PerThread<YoungBorisBlockSolver> chem_solvers(nthreads, [&] {
+    return YoungBorisBlockSolver(Mechanism::cb4_condensed(), opts.chem,
+                                 ko.lane_mode);
+  });
+  par::PerThread<VerticalTransport> vert_ops(
+      nthreads, [&] { return VerticalTransport(grid.layer_dz_m()); });
+  par::PerThread<ChemBlockScratch> scratch(
+      nthreads, [&] { return ChemBlockScratch(cell_block); });
   HostProfile* prof = opts.profile;
   if (prof) {
     *prof = HostProfile{};
     prof->threads = nthreads;
-    for (const YoungBorisBlockSolver& solver : solvers.chem) {
-      add_counters(*prof, solver.scalar(), -1);
-    }
     prof->setup_s = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - setup_start)
                         .count();
@@ -338,8 +265,8 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
   for (int h = from ? from->next_hour : 0; h < opts.hours; ++h) {
     const double hour_start = opts.start_hour + h;
     // Rate constants frozen on (temp, sun) are reusable within the hour.
-    for (YoungBorisBlockSolver& solver : solvers.chem) {
-      solver.set_rate_epoch(epoch_base + h);
+    for (YoungBorisBlockSolver& solver : chem_solvers) {
+      solver.set_rate_epoch(h);
     }
     const HourlyInputs in = [&] {
       par::PhaseTimer timer(prof ? &prof->io_s : nullptr);
@@ -347,7 +274,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
       HourlyInputs sampled =
           sample_hourly_inputs(grid.xy(), nl, grid.met(), grid.emissions(),
                                opts.io_work, static_cast<int>(hour_start));
-      sampled.nsteps = cfl_steps_per_hour(solvers.transport[0], sampled);
+      sampled.nsteps = cfl_steps_per_hour(transport_ops[0], sampled);
       return sampled;
     }();
 
@@ -375,7 +302,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
           obs::ObsSpan layer(rec, t, "transport layer",
                              PhaseCategory::Transport, h);
           layer_work[k] =
-              Kernel::transport(solvers.transport[t], conc, k, in.wind_kmh[k],
+              Kernel::transport(transport_ops[t], conc, k, in.wind_kmh[k],
                                 in.kh_km2h, 0.5 * dt_hours, background)
                   .work_flops;
         });
@@ -400,7 +327,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
         const std::size_t nblocks = (nv + cell_block - 1) / cell_block;
         pool.for_each(nblocks, [&](int t, std::size_t blk) {
           obs::ObsSpan block(rec, t, "chem block", PhaseCategory::Chemistry, h);
-          ChemBlockScratch& scr = solvers.scratch[t];
+          ChemBlockScratch& scr = scratch[t];
           const std::size_t v0 = blk * cell_block;
           const std::size_t bw = std::min(cell_block, nv - v0);
           for (std::size_t i = 0; i < bw; ++i) {
@@ -414,7 +341,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
               scr.temps[i] = in.vertex_temp_k[v0 + i] - lapse * k;
             }
             try {
-              Kernel::chemistry(solvers.chem[t], scr, conc,
+              Kernel::chemistry(chem_solvers[t], scr, conc,
                                 static_cast<std::size_t>(k), v0, bw, dt_min,
                                 sun);
             } catch (const NumericalError& e) {
@@ -426,7 +353,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
                                    std::to_string(h) + ")");
             }
           }
-          Kernel::vertical(solvers.vert[t], scr, conc, v0, bw, in, deposition,
+          Kernel::vertical(vert_ops[t], scr, conc, v0, bw, in, deposition,
                            dt_min);
           // Block commit: everything this block writes (chemistry +
           // vertical transport) is now in the field — last chance to catch
@@ -475,8 +402,8 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
 
   if (prof) {
     prof->thread_busy_s = pool.busy_seconds();
-    for (const YoungBorisBlockSolver& solver : solvers.chem) {
-      add_counters(*prof, solver.scalar(), 1);
+    for (const YoungBorisBlockSolver& solver : chem_solvers) {
+      add_counters(*prof, solver.scalar());
     }
   }
   return result;

@@ -15,7 +15,6 @@ struct MultiscalePolicy {
 
   const std::string& name() const { return ds.name(); }
   int layers() const { return ds.layers(); }
-  std::shared_ptr<const void> base() const { return ds.base; }
   std::span<const Point2> xy() const { return ds.mesh().points(); }
   const Meteorology& met() const { return ds.met(); }
   const EmissionInventory& emissions() const { return ds.emissions; }
@@ -32,19 +31,6 @@ struct MultiscalePolicy {
 };
 
 }  // namespace
-
-/// Warm per-thread solver state of the multiscale loop.
-struct ResidentEngine::State : fig1::SolverCache<SupgTransport> {};
-
-ResidentEngine::ResidentEngine() = default;
-ResidentEngine::~ResidentEngine() = default;
-ResidentEngine::ResidentEngine(ResidentEngine&&) noexcept = default;
-ResidentEngine& ResidentEngine::operator=(ResidentEngine&&) noexcept = default;
-
-long long ResidentEngine::runs() const { return state_ ? state_->runs : 0; }
-long long ResidentEngine::reuses() const {
-  return state_ ? state_->reuses : 0;
-}
 
 AirshedModel::AirshedModel(const Dataset& dataset, ModelOptions opts)
     : dataset_(&dataset), opts_(opts) {
@@ -81,20 +67,14 @@ ModelRunResult AirshedModel::resume(CheckpointVault& vault,
 ModelRunResult AirshedModel::run_hours(const CheckpointRecord* from,
                                        const HourCallback& on_hour,
                                        const CheckpointCallback& on_checkpoint) {
-  ResidentEngine::State* engine = nullptr;
-  if (opts_.engine) {
-    std::unique_ptr<ResidentEngine::State>& state = opts_.engine->state_;
-    if (!state) state = std::make_unique<ResidentEngine::State>();
-    engine = state.get();
-  }
   return fig1::run_hours<fig1::BlockedKernel>(MultiscalePolicy{*dataset_},
-                                              opts_, engine, from, on_hour,
+                                              opts_, from, on_hour,
                                               on_checkpoint);
 }
 
 ModelRunResult run_scalar_oracle(const Dataset& dataset, ModelOptions opts) {
   return fig1::run_hours<fig1::ScalarKernel>(MultiscalePolicy{dataset}, opts,
-                                             nullptr, nullptr, {}, {});
+                                             nullptr, {}, {});
 }
 
 }  // namespace airshed

@@ -123,10 +123,6 @@ void record_metrics(obs::MetricsRegistry& registry,
   // effectiveness and the SIMD lane occupancy of the blocked path.
   registry.counter("chem/rate_cache/hits", "rate-constant cache hits")
       .inc(profile.rate_cache_hits);
-  registry
-      .counter("chem/rate_cache/shared_hits",
-               "lookups served by the batch-scoped shared rate table")
-      .inc(profile.rate_cache_shared_hits);
   registry.counter("chem/rate_cache/evals", "full rate-constant evaluations")
       .inc(profile.rate_evals);
   registry.counter("chem/rate_cache/evictions", "single-victim evictions")

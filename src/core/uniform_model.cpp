@@ -18,7 +18,6 @@ struct UniformPolicy {
 
   const std::string& name() const { return ds.name; }
   int layers() const { return ds.layers; }
-  std::shared_ptr<const void> base() const { return nullptr; }
   std::span<const Point2> xy() const { return centers; }
   const Meteorology& met() const { return ds.met; }
   const EmissionInventory& emissions() const { return ds.emissions; }
@@ -89,14 +88,13 @@ ModelRunResult UniformAirshedModel::run_hours(
     const CheckpointRecord* from, const HourCallback& on_hour,
     const CheckpointCallback& on_checkpoint) {
   return fig1::run_hours<fig1::BlockedKernel>(UniformPolicy{*dataset_}, opts_,
-                                              nullptr, from, on_hour,
-                                              on_checkpoint);
+                                              from, on_hour, on_checkpoint);
 }
 
 ModelRunResult run_scalar_oracle(const UniformDataset& dataset,
                                  ModelOptions opts) {
   return fig1::run_hours<fig1::ScalarKernel>(UniformPolicy{dataset}, opts,
-                                             nullptr, nullptr, {}, {});
+                                             nullptr, {}, {});
 }
 
 }  // namespace airshed

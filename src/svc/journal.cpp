@@ -70,12 +70,11 @@ std::string encode_decisions(const BatchOptions& o,
       .f64(o.watchdog_budget_factor)
       .u32(static_cast<std::uint32_t>(o.max_queue_depth))
       .u32(static_cast<std::uint32_t>(o.max_in_flight))
-      // v2 throughput decisions: the schedule changes dispatch order, and
-      // sharing/residency are pinned so a resume runs under the exact
-      // engine configuration the journal's history was produced with.
+      // Throughput decisions: the schedule changes dispatch order, and
+      // sharing is pinned so a resume runs under the exact input
+      // configuration the journal's history was produced with.
       .u32(static_cast<std::uint32_t>(o.schedule))
-      .u32(o.share_inputs ? 1u : 0u)
-      .u32(o.resident ? 1u : 0u);
+      .u32(o.share_inputs ? 1u : 0u);
   const ChaosOptions& c = o.chaos;
   w.f64(c.node_death)
       .f64(c.straggler)
@@ -108,7 +107,6 @@ void decode_decisions(PayloadReader& r, BatchOptions& o,
   o.max_in_flight = static_cast<int>(r.u32());
   o.schedule = static_cast<Schedule>(r.u32());
   o.share_inputs = r.u32() != 0;
-  o.resident = r.u32() != 0;
   ChaosOptions& c = o.chaos;
   c.node_death = r.f64();
   c.straggler = r.f64();

@@ -10,7 +10,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "airshed/chem/youngboris.hpp"
 #include "airshed/core/uniform_model.hpp"
 #include "airshed/durable/container.hpp"
 #include "airshed/par/pool.hpp"
@@ -167,16 +166,12 @@ void record_metrics(obs::MetricsRegistry& reg, const BatchReport& report) {
     attempts.observe(static_cast<double>(r.attempts.size()));
   }
 
-  // Throughput-engine counters (PR 9): input-base sharing, the frozen
-  // batch rate table, warm-engine reuse, setup wall time and queue waits.
+  // Throughput counters: input-base sharing, setup wall time and queue
+  // waits.
   set("svc/input_cache_hits", report.input_cache_hits,
       "shared dataset-base requests served from the input cache");
   set("svc/input_cache_misses", report.input_cache_misses,
       "distinct dataset bases built (input-cache misses)");
-  set("svc/rate_cache_shared_hits", report.rate_cache_shared_hits,
-      "rate lookups served by the frozen batch-scoped table");
-  set("svc/engine_reuses", report.engine_reuses,
-      "attempts that reused a warm resident engine");
   reg.gauge("svc/setup_s", "wall seconds in dataset build + solver setup")
       .set(report.setup_s);
   obs::Histogram& wait = reg.histogram(
@@ -216,8 +211,8 @@ obs::JsonWriter BatchReport::canonical_json() const {
   j.key("journal_torn_tail").value(journal_torn_tail);
   j.end_object();
   // Deterministic throughput facts only: the schedule is an option and the
-  // wait histogram follows from it. Sharing / resident counters stay out —
-  // canonical bytes are invariant to share_inputs and resident.
+  // wait histogram follows from it. Sharing counters stay out — canonical
+  // bytes are invariant to share_inputs.
   j.key("throughput").begin_object();
   j.key("schedule").value(to_string(schedule));
   j.key("queue_wait_rounds").begin_array();
@@ -294,7 +289,6 @@ struct Slot {
   std::vector<HourlyStats> hourly;
   std::string archive_file;
   double setup_s = 0.0;        ///< dataset build + solver setup wall seconds
-  long long shared_hits = 0;   ///< frozen-table rate lookups this attempt
 };
 
 enum class BreakerState { Closed, Open, HalfOpen };
@@ -546,23 +540,17 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
     return text;
   };
 
-  // Throughput engine (PR 9): one content-addressed cache of immutable
-  // dataset bases for the whole batch, one frozen batch-scoped rate table
-  // seeded by the first dispatched attempt (resident mode), and one warm
-  // ResidentEngine per pool thread. Results are bit-identical with every
-  // combination on or off; only wall time and the obs counters move.
+  // One content-addressed cache of immutable dataset bases for the whole
+  // batch. Results are bit-identical with sharing on or off; only wall
+  // time and the obs counters move.
   SharedInputCache input_cache;
-  SharedRateTable rate_table;
   par::WorkerPool pool(o.threads);
   if (o.trace) pool.set_observer(o.trace);
-  std::vector<ResidentEngine> engines(
-      static_cast<std::size_t>(pool.threads()));
 
   // Executes one attempt of `slot` on pool thread `t`, catching everything:
   // a scenario failure must never escape into the pool (which would rethrow
-  // it after the barrier and abort the batch). `warm` marks the batch's
-  // rate-table seeding attempt (resident mode, pre-freeze).
-  const auto run_attempt = [&](Slot& slot, int t, bool warm) {
+  // it after the barrier and abort the batch).
+  const auto run_attempt = [&](Slot& slot, int t) {
     const int id = slot.spec.id;
     const int attempt = slot.attempt;
     obs::ObsSpan span(o.trace, t, "scenario attempt", PhaseCategory::Recovery,
@@ -575,7 +563,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
     slot.archive_file.clear();
     slot.slowdown = 1.0;
     slot.setup_s = 0.0;
-    slot.shared_hits = 0;
     // Degrade attempts run chaos-free: the fallback must not inherit the
     // failure modes it exists to escape.
     slot.fault = slot.degrade_mode
@@ -593,14 +580,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
       mo.host_threads = 1;  // scenario-level parallelism only: no nested pools
       HostProfile attempt_prof;
       mo.profile = &attempt_prof;
-      if (o.resident) {
-        mo.engine = &engines[static_cast<std::size_t>(t)];
-        // The table is written only by the warm attempt and consulted only
-        // once frozen (a pool barrier separates the two), so readers never
-        // race the writer.
-        mo.shared_rates = rate_table.frozen() ? &rate_table : nullptr;
-        mo.capture_rates = warm && !rate_table.frozen() ? &rate_table : nullptr;
-      }
 
       std::uint64_t digest = 0;
       std::vector<HourlyStats> hourly;
@@ -612,9 +591,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
         slot.setup_s += std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - build_t0)
                             .count();
-        // Resident engines hold multiscale solver state: the coarse rerun
-        // runs without one, so it never evicts this lane's warm engine.
-        mo.engine = nullptr;
         ModelRunResult r = UniformAirshedModel(coarse, mo).run();
         digest = field_digest(r.outputs);
         hourly = std::move(r.outputs.hourly);
@@ -694,10 +670,9 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
         hourly = std::move(r.outputs.hourly);
         status = "ok";
       }
-      // Harvest the attempt's engine-side counters (wall-clock only — the
-      // canonical report never sees them).
+      // Harvest the attempt's solver setup time (wall-clock only — the
+      // canonical report never sees it).
       slot.setup_s += attempt_prof.setup_s;
-      slot.shared_hits = attempt_prof.rate_cache_shared_hits;
 
       // Commit: encode the durable artifact, let the chaos plan attack it,
       // and accept the result only after read-back validation — a corrupt
@@ -788,8 +763,10 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
   // order; Fair sorts by (expected work, id) — shortest first — then
   // round-robins across dataset groups so one dataset's long scenarios
   // cannot starve another's. Pure in (specs, schedule): identical at any
-  // thread count, and only observable when max_in_flight (or a breaker
-  // probe) truncates the round.
+  // thread count, and outcomes never depend on it. Wall time does:
+  // pool.for_each deals this order out in fixed contiguous blocks, so it
+  // decides which lane runs which scenario (and, when max_in_flight or a
+  // breaker probe truncates the round, which scenarios run at all).
   const auto dispatch_order =
       [&](const std::vector<std::size_t>& pend) -> std::vector<std::size_t> {
     if (o.schedule == Schedule::Fifo) return pend;
@@ -862,15 +839,10 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
       }
     }
 
-    // Resident warm round: exactly one attempt — the schedule's head — gets
-    // the capture handle; the table freezes behind this round's barrier, so
-    // every later round reads an immutable table.
-    const bool warm_round = o.resident && !rate_table.frozen();
     pool.set_phase("svc attempt", PhaseCategory::Recovery, round);
     pool.for_each(runnable.size(), [&](int t, std::size_t i) {
-      run_attempt(slots[runnable[i]], t, warm_round && i == 0);
+      run_attempt(slots[runnable[i]], t);
     });
-    if (warm_round) rate_table.freeze();
 
     // Serial decision pass in scenario-id order: breaker accounting and
     // retry / degrade / quarantine transitions are execution-order-free.
@@ -897,7 +869,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
       rec.slowdown = slot.slowdown;
       rec.error = slot.error;
       report.setup_s += slot.setup_s;
-      report.rate_cache_shared_hits += slot.shared_hits;
       if (rec.watchdog) ++report.watchdog_fires;
       BatchJournal::FailDecision jdecision =
           BatchJournal::FailDecision::Quarantine;
@@ -1020,7 +991,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
   report.schedule = o.schedule;
   report.input_cache_hits = input_cache.hits();
   report.input_cache_misses = input_cache.misses();
-  for (const ResidentEngine& e : engines) report.engine_reuses += e.reuses();
 
   report.results.reserve(slots.size());
   for (Slot& slot : slots) report.results.push_back(std::move(slot.result));

@@ -365,7 +365,7 @@ std::map<std::string, std::string> archive_bytes(const std::string& dir) {
 }
 
 /// A generated-city batch through the full throughput engine — shared
-/// inputs, resident engines, fair-share scheduling — is byte-identical at
+/// inputs and fair-share scheduling — is byte-identical at
 /// 1, 2 and 8 threads, and the whole batch shares ONE dataset base.
 TEST_F(CityBatchDir, ByteIdenticalAcrossThreadsWithFullThroughputEngine) {
   const auto specs = svc::make_job_mix(21, city_mix(4));
@@ -376,7 +376,6 @@ TEST_F(CityBatchDir, ByteIdenticalAcrossThreadsWithFullThroughputEngine) {
     opts.batch_seed = 21;
     opts.threads = threads;
     opts.share_inputs = true;
-    opts.resident = true;
     opts.schedule = svc::Schedule::Fair;
     opts.archive_dir = path("archive_t" + std::to_string(threads));
 

@@ -124,32 +124,16 @@ TYPED_TEST(DriverDrift, ChemistryErrorNamesGridPointsLayerAndHour) {
   }
 }
 
-TEST(UniformDrift, ProfileHasSetupCountersAndSharedRatesAndRejectsEngine) {
+TEST(UniformDrift, ProfileHasSetupAndCounters) {
   const UniformDataset ds = UniformCase::dataset();
   HostProfile prof;
-  SharedRateTable table;
   ModelOptions opts;
   opts.hours = 1;
   opts.profile = &prof;
-  opts.capture_rates = &table;
-  const ModelRunResult warm = UniformAirshedModel(ds, opts).run();
+  (void)UniformAirshedModel(ds, opts).run();
   EXPECT_GT(prof.setup_s, 0.0);
   EXPECT_GT(prof.rate_evals, 0);
   EXPECT_GT(prof.chem_substeps, 0);
-  EXPECT_GT(table.size(), 0u);  // capture_rates is honoured
-
-  table.freeze();
-  opts.capture_rates = nullptr;
-  opts.shared_rates = &table;
-  const ModelRunResult shared = UniformAirshedModel(ds, opts).run();
-  EXPECT_GT(prof.rate_cache_shared_hits, 0);
-  EXPECT_EQ(shared.outputs.conc, warm.outputs.conc);  // bitwise
-
-  ResidentEngine engine;
-  opts.engine = &engine;
-  EXPECT_THROW(UniformAirshedModel(ds, opts).run(), ConfigError);
-  EXPECT_THROW(run_scalar_oracle(ds, opts), ConfigError);
-  EXPECT_EQ(engine.runs(), 0);
 }
 
 TEST(WorkTraceIo, SaveLoadRoundTrip) {

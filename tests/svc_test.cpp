@@ -721,6 +721,34 @@ TEST_F(SvcDir, JournalGuardsRefuseOverwriteAndMismatchedResume) {
   EXPECT_EQ(redo.resumed, false);
 }
 
+/// A journal written by an older build (version 2 header) is refused with
+/// a typed error, both by replay and by a supervisor resume, instead of
+/// resuming under a changed decision digest.
+TEST_F(SvcDir, JournalWithOldVersionHeaderIsRefused) {
+  const auto specs = svc::make_job_mix(21, tiny_mix(2));
+  BatchOptions opts = journaled_opts(21, path("a"));
+  fs::create_directories(path("a"));
+  {
+    durable::JournalWriter old(opts.journal_path, svc::BatchJournal::kFormat,
+                               2);
+    old.append("v2 batch header");
+  }
+  const auto expect_header_refusal = [](const std::function<void()>& fn) {
+    try {
+      fn();
+      FAIL() << "v2 journal was accepted";
+    } catch (const durable::StorageError& e) {
+      EXPECT_EQ(e.section(), "journal header");
+      EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_header_refusal(
+      [&] { (void)svc::BatchJournal::replay(opts.journal_path); });
+  opts.resume = true;
+  expect_header_refusal([&] { (void)BatchSupervisor(opts).run(specs); });
+}
+
 /// Repeat quarantines of the same artifact path number their evidence
 /// files instead of overwriting prior generations.
 TEST_F(SvcDir, QuarantineNumbersRepeatedCollisions) {
@@ -754,61 +782,53 @@ std::uint64_t mesh_bytes_digest(const TriMesh& mesh) {
       reinterpret_cast<const char*>(pts.data()), pts.size() * sizeof(Point2)));
 }
 
-/// The tentpole invariant: input sharing, resident engines and the fair
-/// schedule are throughput knobs only. Under full chaos, every combination
-/// at 1, 2 and 8 threads produces byte-identical manifests — and within a
-/// schedule, byte-identical canonical reports.
-TEST_F(SvcDir, SharingResidencyScheduleSweepIsByteIdentical) {
+/// The tentpole invariant: input sharing and the fair schedule are
+/// throughput knobs only. Under full chaos, every combination at 1, 2 and
+/// 8 threads produces byte-identical manifests — and within a schedule,
+/// byte-identical canonical reports.
+TEST_F(SvcDir, SharingScheduleSweepIsByteIdentical) {
   const auto specs = svc::make_job_mix(7, tiny_mix(6));
 
   std::map<std::string, std::string> reference_report;  // keyed by schedule
   std::string reference_manifest;
   int config = 0;
   for (bool share : {false, true}) {
-    for (bool resident : {false, true}) {
-      for (svc::Schedule schedule : {svc::Schedule::Fifo, svc::Schedule::Fair}) {
-        for (int threads : {1, 2, 8}) {
-          BatchOptions opts;
-          opts.batch_seed = 7;
-          opts.threads = threads;
-          opts.chaos = full_chaos();
-          opts.share_inputs = share;
-          opts.resident = resident;
-          opts.schedule = schedule;
-          opts.archive_dir = path("archive_" + std::to_string(config++));
+    for (svc::Schedule schedule : {svc::Schedule::Fifo, svc::Schedule::Fair}) {
+      for (int threads : {1, 2, 8}) {
+        BatchOptions opts;
+        opts.batch_seed = 7;
+        opts.threads = threads;
+        opts.chaos = full_chaos();
+        opts.share_inputs = share;
+        opts.schedule = schedule;
+        opts.archive_dir = path("archive_" + std::to_string(config++));
 
-          const BatchReport report = BatchSupervisor(opts).run(specs);
-          const std::string json = report.canonical_json().str();
-          const std::string manifest = durable::read_file_bytes(
-              BatchArchive(opts.archive_dir).manifest_path());
-          const std::string key = svc::to_string(schedule);
-          if (!reference_manifest.empty()) {
-            EXPECT_EQ(manifest, reference_manifest)
-                << "share=" << share << " resident=" << resident
-                << " schedule=" << key << " threads=" << threads;
-          } else {
-            reference_manifest = manifest;
-            EXPECT_GT(report.retries, 0);  // chaos must bite
-          }
-          if (reference_report.count(key)) {
-            EXPECT_EQ(json, reference_report[key])
-                << "share=" << share << " resident=" << resident
-                << " threads=" << threads;
-          } else {
-            reference_report[key] = json;
-          }
-          // The sharing counters move with the knobs, never the science.
-          if (share) {
-            EXPECT_GT(report.input_cache_hits, 0);
-            EXPECT_GE(report.input_cache_misses, 1);
-          } else {
-            EXPECT_EQ(report.input_cache_hits, 0);
-            EXPECT_EQ(report.input_cache_misses, 0);
-          }
-          if (!resident) {
-            EXPECT_EQ(report.engine_reuses, 0);
-            EXPECT_EQ(report.rate_cache_shared_hits, 0);
-          }
+        const BatchReport report = BatchSupervisor(opts).run(specs);
+        const std::string json = report.canonical_json().str();
+        const std::string manifest = durable::read_file_bytes(
+            BatchArchive(opts.archive_dir).manifest_path());
+        const std::string key = svc::to_string(schedule);
+        if (!reference_manifest.empty()) {
+          EXPECT_EQ(manifest, reference_manifest)
+              << "share=" << share << " schedule=" << key
+              << " threads=" << threads;
+        } else {
+          reference_manifest = manifest;
+          EXPECT_GT(report.retries, 0);  // chaos must bite
+        }
+        if (reference_report.count(key)) {
+          EXPECT_EQ(json, reference_report[key])
+              << "share=" << share << " threads=" << threads;
+        } else {
+          reference_report[key] = json;
+        }
+        // The sharing counters move with the knobs, never the science.
+        if (share) {
+          EXPECT_GT(report.input_cache_hits, 0);
+          EXPECT_GE(report.input_cache_misses, 1);
+        } else {
+          EXPECT_EQ(report.input_cache_hits, 0);
+          EXPECT_EQ(report.input_cache_misses, 0);
         }
       }
     }
@@ -816,32 +836,6 @@ TEST_F(SvcDir, SharingResidencyScheduleSweepIsByteIdentical) {
   // Fifo and fair write different canonical reports (the schedule and the
   // wait histogram are part of the contract), but the same manifests.
   EXPECT_NE(reference_report["fifo"], reference_report["fair"]);
-}
-
-/// Resident mode must actually reuse warm engines and serve rate lookups
-/// from the frozen shared table once the batch spans multiple rounds.
-TEST_F(SvcDir, ResidentModeReusesEnginesAndSharesRates) {
-  const auto specs = svc::make_job_mix(11, tiny_mix(4));
-  BatchOptions opts;
-  opts.batch_seed = 11;
-  opts.threads = 1;
-  opts.max_in_flight = 1;  // 4 rounds: rounds 2..4 read the frozen table
-  opts.resident = true;
-  opts.archive_dir = path("a");
-  const BatchReport warm = BatchSupervisor(opts).run(specs);
-  EXPECT_EQ(warm.completed, 4);
-  EXPECT_GT(warm.engine_reuses, 0);
-  EXPECT_GT(warm.rate_cache_shared_hits, 0);
-
-  // And the counters stay out of the canonical report: a cold run matches.
-  opts.resident = false;
-  opts.archive_dir = path("b");
-  const BatchReport cold = BatchSupervisor(opts).run(specs);
-  EXPECT_EQ(cold.engine_reuses, 0);
-  EXPECT_EQ(warm.canonical_json().str(), cold.canonical_json().str());
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(warm.results[i].checksum, cold.results[i].checksum);
-  }
 }
 
 /// The fair schedule reorders dispatch (shortest expected work first,
@@ -925,11 +919,10 @@ TEST_F(SvcDir, SharedInputCacheHandsOutOneImmutableBase) {
 }
 
 /// The journal header pins the throughput configuration: a resume under a
-/// different schedule / sharing / residency refuses to run.
+/// different schedule / sharing refuses to run.
 TEST_F(SvcDir, ResumeRefusesMismatchedThroughputConfig) {
   const auto specs = svc::make_job_mix(21, tiny_mix(2));
   BatchOptions opts = journaled_opts(21, path("a"));
-  opts.resident = true;
   opts.schedule = svc::Schedule::Fair;
   fs::create_directories(path("a"));
   {
@@ -940,7 +933,6 @@ TEST_F(SvcDir, ResumeRefusesMismatchedThroughputConfig) {
 
   for (const auto& mutate : std::vector<std::function<void(BatchOptions&)>>{
            [](BatchOptions& o) { o.share_inputs = false; },
-           [](BatchOptions& o) { o.resident = false; },
            [](BatchOptions& o) { o.schedule = svc::Schedule::Fifo; }}) {
     BatchOptions bad = opts;
     bad.resume = true;
@@ -956,8 +948,8 @@ TEST_F(SvcDir, ResumeRefusesMismatchedThroughputConfig) {
   EXPECT_EQ(done.completed, 2);
 }
 
-/// SIGKILL drill with the full throughput engine on: sharing + residency +
-/// fair schedule, killed at every journal record boundary, resumes to a
+/// SIGKILL drill with the full throughput engine on: sharing + fair
+/// schedule, killed at every journal record boundary, resumes to a
 /// byte-identical archive.
 TEST_F(SvcDir, SigkillResumeWithThroughputEngineIsByteIdentical) {
   const auto specs = svc::make_job_mix(7, tiny_mix(3));
@@ -965,7 +957,6 @@ TEST_F(SvcDir, SigkillResumeWithThroughputEngineIsByteIdentical) {
     BatchOptions opts = journaled_opts(7, dir);
     opts.chaos = full_chaos();
     opts.share_inputs = true;
-    opts.resident = true;
     opts.schedule = svc::Schedule::Fair;
     return opts;
   };
