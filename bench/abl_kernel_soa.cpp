@@ -65,11 +65,6 @@ std::uint64_t result_checksum(const ModelRunResult& r) {
   return h;
 }
 
-// Documented accuracy contract of LaneMode::tolerance: maximum relative
-// error of any final concentration / PM value against the scalar oracle,
-// rel = |tol - ref| / max(|ref|, 1e-9 ppm). See docs/BENCHMARKS.md.
-constexpr double kToleranceRelBound = 1e-6;
-
 struct CasePoint {
   bool blocked = false;
   int block = 0;    ///< cell block size (0 for the scalar path)
@@ -115,20 +110,6 @@ CasePoint run_case(const ModelRuns& runs, int hours, bool blocked, int block,
   return pt;
 }
 
-double max_rel_err(const ModelRunResult& got, const ModelRunResult& ref) {
-  double worst = 0.0;
-  const auto scan = [&](std::span<const double> a, std::span<const double> b) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const double scale = std::max(std::abs(b[i]), 1e-9);
-      worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
-    }
-  };
-  scan(got.outputs.conc.flat(), ref.outputs.conc.flat());
-  scan(std::span<const double>(got.outputs.pm.flat()),
-       std::span<const double>(ref.outputs.pm.flat()));
-  return worst;
-}
-
 void emit_point(bench::JsonWriter& json, const CasePoint& pt, double cells,
                 double scalar_median_s, bool match) {
   json.begin_object();
@@ -148,7 +129,7 @@ void emit_point(bench::JsonWriter& json, const CasePoint& pt, double cells,
   json.key("checksum_match").value(match);
   if (pt.max_rel_err >= 0.0) {
     json.key("max_rel_err").value(pt.max_rel_err);
-    json.key("rel_err_bound").value(kToleranceRelBound);
+    json.key("rel_err_bound").value(bench::kToleranceRelBound);
   }
   json.key("samples_s").begin_array();
   for (double s : pt.wall.samples_s) json.value(s);
@@ -278,13 +259,13 @@ int main(int argc, char** argv) {
       CasePoint pt = run_case(c.run, hours, true, default_block, 1, warmup,
                               repeats, kernel::LaneMode::tolerance,
                               &tol_result);
-      pt.max_rel_err = max_rel_err(tol_result, scalar_result);
-      const bool within = pt.max_rel_err <= kToleranceRelBound;
+      pt.max_rel_err = bench::max_rel_err(tol_result, scalar_result);
+      const bool within = pt.max_rel_err <= bench::kToleranceRelBound;
       all_match = all_match && within;
       print_point(pt, cells, scalar.wall.median_s, within);
       emit_point(json, pt, cells, scalar.wall.median_s, within);
       std::printf("           tolerance max_rel_err = %.3e (bound %.1e)%s\n",
-                  pt.max_rel_err, kToleranceRelBound,
+                  pt.max_rel_err, bench::kToleranceRelBound,
                   within ? "" : "  EXCEEDED");
     }
     json.end_array();

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,27 @@ inline WorkTrace load_trace(const std::string& name, int hours = kHours) {
   std::filesystem::create_directories(dir);
   return WorkTrace::cached(trace_path(dir, name, hours),
                            [&] { return generate_trace(name, hours); });
+}
+
+/// Documented accuracy contract of LaneMode::tolerance: maximum relative
+/// error of any final concentration / PM value against the strict (or
+/// scalar) fields, rel = |tol - ref| / max(|ref|, 1e-9 ppm). See
+/// docs/BENCHMARKS.md.
+inline constexpr double kToleranceRelBound = 1e-6;
+
+inline double max_rel_err(const ModelRunResult& got,
+                          const ModelRunResult& ref) {
+  double worst = 0.0;
+  const auto scan = [&](std::span<const double> a, std::span<const double> b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const double scale = std::max(std::abs(b[i]), 1e-9);
+      worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
+    }
+  };
+  scan(got.outputs.conc.flat(), ref.outputs.conc.flat());
+  scan(std::span<const double>(got.outputs.pm.flat()),
+       std::span<const double>(ref.outputs.pm.flat()));
+  return worst;
 }
 
 /// The BENCH_*.json artifacts use the project's shared schema writer

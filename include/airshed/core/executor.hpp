@@ -46,11 +46,11 @@ struct ExecutionConfig {
   /// state-dependent per-column chemistry cost (bench/abl_cyclic_chemistry).
   DimDist chemistry_dist = DimDist::Block;
 
-  /// Fault injection schedule; the default (empty) plan takes the exact
-  /// fault-free code path, so zero-fault runs are byte-identical to a
-  /// configuration without a fault layer. Node-failure injection requires
-  /// Strategy::DataParallel (straggler and message-drop injection work
-  /// under both strategies).
+  /// Fault injection schedule. Every run goes through the one fault-aware
+  /// simulator; the default (empty) plan is an ordinary input that injects
+  /// nothing, charges no Recovery time and reports all nodes surviving.
+  /// Node-failure injection requires Strategy::DataParallel (straggler and
+  /// message-drop injection work under both strategies).
   FaultPlan faults;
   /// Checkpointing policy; consulted only when `faults` enables failures.
   CheckpointPolicy checkpoint;
@@ -98,7 +98,9 @@ struct RunReport {
   double total_seconds = 0.0;
   RunLedger ledger;   ///< per-category virtual time (sums of phase maxima)
   CommBreakdown comm;
-  RecoveryReport recovery;  ///< resilience accounting (empty when no faults)
+  /// Resilience accounting: zero overhead without faults; final_nodes is
+  /// the survivor count on every run.
+  RecoveryReport recovery;
 
   double speedup_vs(const RunReport& base) const {
     return base.total_seconds / total_seconds;
@@ -128,19 +130,9 @@ HourStageTimes pipeline_stage_times(const WorkTrace& trace,
                                     int host_threads = 0);
 
 /// Time of the main computation (transport + chemistry + aerosol + comm)
-/// of one hour on `nodes` nodes; shared by both strategies.
+/// of one fault-free hour on `nodes` nodes; shared by both strategies.
 double hour_main_seconds(const WorkTrace& trace, std::size_t hour_index,
                          const MachineModel& machine, int nodes,
                          RunLedger* ledger, CommBreakdown* comm);
-
-/// Fault-aware overload: straggler factors inflate the phase maxima (the
-/// inflation is charged to PhaseCategory::Recovery, the nominal time to the
-/// phase's own category) and injected message drops charge retransmissions.
-/// With an empty plan this is identical to the overload above.
-double hour_main_seconds(const WorkTrace& trace, std::size_t hour_index,
-                         const MachineModel& machine, int nodes,
-                         const FaultPlan& faults, const RetryPolicy& retry,
-                         RunLedger* ledger, CommBreakdown* comm,
-                         RecoveryReport* recovery = nullptr);
 
 }  // namespace airshed

@@ -63,7 +63,7 @@ struct FaultModelOptions {
   /// (detected by checksum) and must retransmit. Successive retries of the
   /// same phase redraw with the same probability, up to
   /// max_drops_per_phase. 0 disables the class — and with it the per-phase
-  /// checksum-verification charge (pay-for-what-you-use).
+  /// checksum-verification charge.
   double payload_corruption_probability = 0.0;
 
   friend bool operator==(const FaultModelOptions&,
@@ -76,15 +76,15 @@ struct FaultModelOptions {
 /// identical faults regardless of evaluation order.
 class FaultPlan {
  public:
-  /// The default plan is empty: no faults, and the executor takes the exact
-  /// fault-free code path (pay-for-what-you-use).
+  /// The default plan is empty: no faults. The executor simulates it like
+  /// any other plan; every fault class reads as disabled.
   FaultPlan() = default;
 
   /// Draws a plan for `nodes` nodes over `horizon_hours` simulated hours.
   static FaultPlan make(std::uint64_t seed, int nodes, int horizon_hours,
                         const FaultModelOptions& opts);
 
-  /// True when the plan injects nothing (the zero-fault fast path).
+  /// True when the plan injects nothing.
   bool empty() const {
     return !has_failures() && !has_slowdowns() &&
            opts_.message_drop_probability <= 0.0 &&

@@ -293,6 +293,42 @@ struct Slot {
 
 enum class BreakerState { Closed, Open, HalfOpen };
 
+// The two conversions between a live attempt and its journal record. The
+// journal encodes only the fields of the record's type, so a Commit drops
+// the failure fields and replays them as the defaults of a clean success.
+
+BatchJournal::Record journal_record(int scenario_id, const AttemptRecord& a) {
+  BatchJournal::Record r;
+  r.id = scenario_id;
+  r.attempt = a.attempt;
+  r.round = a.round;
+  r.wait = a.wait_rounds;
+  r.degraded = a.degraded_run;
+  r.fault = a.injected;
+  r.slowdown = a.slowdown;
+  r.infra = a.infra;
+  r.watchdog = a.watchdog;
+  r.error = a.error;
+  r.backoff_ms = a.backoff_ms;
+  return r;
+}
+
+AttemptRecord attempt_record(const BatchJournal::Record& r) {
+  AttemptRecord a;
+  a.attempt = r.attempt;
+  a.round = r.round;
+  a.wait_rounds = r.wait;
+  a.injected = r.fault;
+  a.degraded_run = r.degraded;
+  a.ok = r.type == BatchJournal::RecordType::Commit;
+  a.infra = r.infra;
+  a.watchdog = r.watchdog;
+  a.slowdown = r.slowdown;
+  a.backoff_ms = r.backoff_ms;
+  a.error = r.error;
+  return a;
+}
+
 /// Flips one seeded bit of an encoded container (in-flight payload
 /// corruption; the read-back validation must reject it).
 void corrupt_bytes(std::string& bytes, std::uint64_t batch_seed,
@@ -417,19 +453,7 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
         }
         // Failed: reconstruct the attempt and re-apply the recorded
         // decision, landing the scenario exactly where the ladder left it.
-        AttemptRecord a;
-        a.attempt = rec.attempt;
-        a.round = rec.round;
-        a.wait_rounds = rec.wait;
-        a.injected = rec.fault;
-        a.degraded_run = rec.degraded;
-        a.ok = false;
-        a.infra = rec.infra;
-        a.watchdog = rec.watchdog;
-        a.slowdown = rec.slowdown;
-        a.backoff_ms = rec.backoff_ms;
-        a.error = rec.error;
-        slot.result.attempts.push_back(std::move(a));
+        slot.result.attempts.push_back(attempt_record(rec));
         ++report.replayed_failures;
         if (rec.infra) {
           ++report.infra_faults;
@@ -471,15 +495,7 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
           if (!good) BatchArchive::quarantine(path);
         }
         if (good) {
-          AttemptRecord a;
-          a.attempt = rec.attempt;
-          a.round = rec.round;
-          a.wait_rounds = rec.wait;
-          a.injected = rec.fault;
-          a.degraded_run = rec.degraded;
-          a.ok = true;
-          a.slowdown = rec.slowdown;
-          slot.result.attempts.push_back(std::move(a));
+          slot.result.attempts.push_back(attempt_record(rec));
           slot.result.status = rec.degraded ? ScenarioStatus::Degraded
                                             : ScenarioStatus::Ok;
           slot.result.checksum = hash_hex(rec.checksum);
@@ -890,14 +906,7 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
         if (journal) {
           // The artifact is durable and read-back-validated; only now does
           // the commit record make it replay-trustworthy.
-          BatchJournal::Record jr;
-          jr.id = slot.spec.id;
-          jr.attempt = rec.attempt;
-          jr.round = round;
-          jr.degraded = slot.degrade_mode;
-          jr.fault = slot.fault;
-          jr.slowdown = slot.slowdown;
-          jr.wait = rec.wait_rounds;
+          BatchJournal::Record jr = journal_record(slot.spec.id, rec);
           jr.checksum = slot.checksum;
           jr.file = slot.result.archive_file;
           journal->commit(jr);
@@ -948,19 +957,8 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
           // Failed record lands before the decision's side effect (the
           // next-round retry / degrade run), so a crash between them only
           // ever re-executes work, never forgets a decision.
-          BatchJournal::Record jr;
-          jr.id = slot.spec.id;
-          jr.attempt = rec.attempt;
-          jr.round = round;
-          jr.degraded = rec.degraded_run;
-          jr.fault = rec.injected;
-          jr.slowdown = slot.slowdown;
-          jr.wait = rec.wait_rounds;
-          jr.infra = rec.infra;
-          jr.watchdog = rec.watchdog;
-          jr.error = rec.error;
+          BatchJournal::Record jr = journal_record(slot.spec.id, rec);
           jr.decision = jdecision;
-          jr.backoff_ms = rec.backoff_ms;
           journal->failed(jr);
         }
       }

@@ -1,5 +1,5 @@
 // Tests for the fault-injection / checkpoint-restart subsystem: plan
-// determinism, pay-for-what-you-use zero-fault identity, recovery
+// determinism, zero-fault identity of the empty plan, recovery
 // accounting invariants, model checkpoint/restart equivalence, and the
 // degraded-mode foreign coupling.
 #include <gtest/gtest.h>
@@ -141,8 +141,8 @@ TEST(FaultPlan, RejectsBadOptions) {
   EXPECT_THROW(FaultPlan::make(1, 4, 4, f), Error);
 }
 
-// ------------------------------------------- zero-fault identity (pay-
-// for-what-you-use: an empty plan takes the exact fault-free code path)
+// ------------------------------- zero-fault identity (an empty plan is an
+// ordinary input to the one fault-aware simulator and injects nothing)
 
 TEST(ZeroFault, SimulationIdenticalToUnconfiguredRun) {
   const WorkTrace& t = shared_run().trace;
@@ -162,14 +162,18 @@ TEST(ZeroFault, SimulationIdenticalToUnconfiguredRun) {
   EXPECT_DOUBLE_EQ(b.recovery.total_overhead_s(), 0.0);
 }
 
-TEST(ZeroFault, HourMainOverloadsAgree) {
+TEST(ZeroFault, FaultFreeRunReportsEveryNodeSurviving) {
   const WorkTrace& t = shared_run().trace;
-  const MachineModel m = cray_t3e();
-  const FaultPlan empty;
-  const RetryPolicy retry;
-  for (std::size_t h = 0; h < t.hours.size(); ++h) {
-    EXPECT_EQ(hour_main_seconds(t, h, m, 32, nullptr, nullptr),
-              hour_main_seconds(t, h, m, 32, empty, retry, nullptr, nullptr));
+  for (Strategy strategy :
+       {Strategy::DataParallel, Strategy::TaskAndDataParallel}) {
+    for (int nodes : {4, 16}) {
+      const ExecutionConfig cfg{intel_paragon(), nodes, strategy};
+      const RunReport r = simulate_execution(t, cfg);
+      EXPECT_EQ(r.recovery.final_nodes, cfg.nodes)
+          << to_string(strategy) << " on " << nodes << " nodes";
+      EXPECT_TRUE(r.recovery.failures.empty());
+      EXPECT_EQ(r.recovery.total_overhead_s(), 0.0);
+    }
   }
 }
 

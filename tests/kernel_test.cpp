@@ -764,6 +764,23 @@ TEST(Kernel, UniformModelBlockedMatchesScalarAcrossBlocksAndThreads) {
   }
 }
 
+/// The tolerance profile's accuracy contract (bench::max_rel_err within
+/// 1e-6 against strict, as abl_kernel_soa checks on LA) on the generated
+/// city grids, whose chemistry cost is 1.9-2.8x more skewed than LA's.
+TEST(Kernel, ToleranceModelWithinRelativeBoundOnCityGrids) {
+  for (const char* spec : {"city:seed=1", "city:seed=2", "city:seed=3"}) {
+    const Dataset ds =
+        build_dataset(city::city_dataset_spec(city::parse_city_spec(spec)));
+    ModelOptions opts;
+    opts.hours = 1;
+    const ModelRunResult strict = AirshedModel(ds, opts).run();
+    opts.kernel.lane_mode = kernel::LaneMode::tolerance;
+    const ModelRunResult tol = AirshedModel(ds, opts).run();
+    EXPECT_LE(bench::max_rel_err(tol, strict), bench::kToleranceRelBound)
+        << spec;
+  }
+}
+
 // ------------------------------------------------------------- tripwire
 
 TEST(Kernel, CheckBlockFiniteNamesTheFirstPoisonedCell) {
