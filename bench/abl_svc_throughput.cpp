@@ -21,6 +21,8 @@
 //     honest wall numbers and the per-config setup/compute split are
 //     committed as measured, along with proof the archives stay
 //     byte-identical across every knob combination and thread count.
+//     The same specs under share + fifo and share + fair at 4 threads
+//     check that the fair schedule is no slower than fifo.
 //
 //  2. The input path in isolation — the work the cache actually amortizes:
 //     wall time to materialize every scenario dataset of the batch with
@@ -215,6 +217,25 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
+  // Fair must be no slower than fifo on the same specs at 4 threads. Lanes
+  // claim scenarios from each other and help running ones with their
+  // chemistry, so the shortest-first order no longer strands the longest
+  // scenarios on one lane. Wall-clock only, so the smoke run (sanitizer
+  // builds, a six-scenario mix) reports it without gating on it.
+  const BatchRun fifo4 =
+      run_batch("fifo_t4", true, svc::Schedule::Fifo, 4, nullptr);
+  const BatchRun fair4 =
+      run_batch("fair_t4", true, svc::Schedule::Fair, 4, nullptr);
+  const double fair_over_fifo =
+      fifo4.wall_s > 0.0 ? fair4.wall_s / fifo4.wall_s : 0.0;
+  std::printf("schedules at 4 threads (share on): fifo %.2f s, fair %.2f s "
+              "(fair/fifo %.3f)\n\n",
+              fifo4.wall_s, fair4.wall_s, fair_over_fifo);
+  if (!smoke) {
+    check(fair4.wall_s <= fifo4.wall_s,
+          "fair schedule must be no slower than fifo at 4 threads");
+  }
+
   // ----------------------- part 2: the input path the cache amortizes
   // Wall time to materialize every scenario dataset of a batch, with and
   // without the shared cache — the rebuild-everything cost the supervisor
@@ -288,6 +309,13 @@ int main(int argc, char** argv) {
              "below");
   json.key("archive_identical_across_configs").value(same_archive);
   json.key("identity_sweep_identical").value(sweep_identical);
+  json.end_object();
+  json.key("fair_vs_fifo").begin_object();
+  json.key("threads").value(4);
+  json.key("fifo_wall_s").value(fifo4.wall_s);
+  json.key("fair_wall_s").value(fair4.wall_s);
+  json.key("fair_over_fifo").value(fair_over_fifo);
+  json.key("fair_no_slower").value(fair4.wall_s <= fifo4.wall_s);
   json.end_object();
   json.key("queue_wait_rounds").begin_array();
   for (long long c : engine.report.queue_wait_rounds) json.value(c);

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   Table t({"machine", "P", "total", "chemistry", "transport", "I/O", "comm"});
   for (const MachineModel& m : {intel_paragon(), cray_t3d(), cray_t3e()}) {
     for (int p : {4, 16, 64}) {
-      const RunReport rep =
-          simulate_execution(run.trace, ExecutionConfig{m, p});
+      const RunReport rep = simulate_execution(
+          run.trace, ExecutionConfig{.machine = m, .nodes = p});
       t.row()
           .add(m.name)
           .add(p)

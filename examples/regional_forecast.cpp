@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
     double at_needed = 0.0;
     for (int p = 1; p <= 128; p *= 2) {
       const double s =
-          simulate_execution(run.trace, ExecutionConfig{m, p}).total_seconds;
+          simulate_execution(run.trace,
+                             ExecutionConfig{.machine = m, .nodes = p})
+              .total_seconds;
       if (s <= deadline_s) {
         needed = p;
         at_needed = s;
@@ -51,7 +53,9 @@ int main(int argc, char** argv) {
       }
     }
     const double at128 =
-        simulate_execution(run.trace, ExecutionConfig{m, 128}).total_seconds;
+        simulate_execution(run.trace,
+                           ExecutionConfig{.machine = m, .nodes = 128})
+            .total_seconds;
     t.row()
         .add(m.name)
         .add(needed > 0 ? std::to_string(needed) : std::string("unreachable"))

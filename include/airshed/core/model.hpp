@@ -32,14 +32,16 @@ namespace airshed {
 /// when ModelOptions::profile points at an instance; purely observational,
 /// never feeds back into the numerics).
 struct HostProfile {
-  int threads = 0;          ///< resolved worker-pool size
-  double setup_s = 0.0;     ///< wall seconds building the worker pool and
-                            ///< per-thread solver instances
+  int threads = 0;          ///< resolved (or enclosing) worker-pool size
+  double setup_s = 0.0;     ///< wall seconds setting up the worker pool
+                            ///< (per-thread solvers are built on each
+                            ///< thread's first item)
   double transport_s = 0.0; ///< wall seconds inside pooled transport phases
   double chemistry_s = 0.0; ///< wall seconds inside pooled chemistry phases
   double aerosol_s = 0.0;   ///< wall seconds in the (serial) aerosol phase
   double io_s = 0.0;        ///< wall seconds in input generation + outputhour
-  /// CPU seconds each pool thread spent inside parallel blocks.
+  /// CPU seconds each pool thread spent running items; empty when the
+  /// run borrowed an enclosing pool, whose threads other runs share.
   std::vector<double> thread_busy_s;
 
   // Chemistry-solver counters for this run, aggregated over its per-thread
@@ -71,6 +73,8 @@ struct ModelOptions {
   /// Host worker threads executing the per-virtual-node kernel work
   /// (transport layers, chemistry columns). 0 = AIRSHED_THREADS env or
   /// hardware concurrency. Results are bit-identical for every value.
+  /// Ignored when the run is itself an item of a par::WorkerPool (a batch
+  /// scenario): its phases then run as nested jobs of that pool.
   int host_threads = 0;
   /// Allow resolving more worker threads than the host has cores. Default
   /// false: the resolved count is capped at par::hardware_threads(),

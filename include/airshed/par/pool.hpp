@@ -1,23 +1,37 @@
 // Host-parallel execution engine: a fixed-size worker pool with a
-// deterministic parallel-for.
+// deterministic, work-claiming, reentrant parallel-for.
 //
 // The simulated Fx runtime executes every virtual node's real numerics
 // (SUPG transport layers, Young-Boris chemistry columns, redistribution
-// pack/unpack) on host threads. Determinism is a hard contract:
+// pack/unpack) on host threads, and the batch supervisor runs whole
+// scenarios as items of the same kind of pool. Determinism is a hard
+// contract:
 //
-//   * Fixed block ownership — the iteration space [0, n) is split into
-//     exactly `threads` contiguous blocks; block t always belongs to
-//     thread t. No work stealing, no dynamic scheduling.
+//   * Home ranges plus tail claiming — the iteration space [0, n) is split
+//     into `threads` contiguous home ranges, [n·t/T, n·(t+1)/T) for thread
+//     t. Every thread first works through its own home range in ascending
+//     order (per-thread caches stay warm, locality is that of a static
+//     split). A thread whose home range is empty takes one item at a time
+//     off the tail of the range with the most items left. Which thread runs
+//     an item therefore depends on timing; what the item computes does not.
 //   * Per-item independence — callers give every item its own output slot
-//     and per-thread scratch (solvers, buffers), so each item's
-//     floating-point results depend only on its inputs, never on which
-//     thread ran it or in what order blocks finished.
-//   * Ordered reduction — callers merge per-item/per-block results on the
-//     calling thread in index order after the barrier.
+//     and per-thread scratch (solvers, buffers) whose state never changes
+//     an item's result, so each item's floating-point results depend only
+//     on its inputs, never on which thread ran it or in what order.
+//   * Ordered reduction — callers merge per-item results on the calling
+//     thread in index order after the call returns.
+//   * Lowest-index rethrow — when items throw, every item still runs, and
+//     the exception of the lowest item index is rethrown: exactly the one
+//     the serial loop would have hit first.
+//   * Nesting — a for_each issued from inside an item of the same pool
+//     publishes a nested job instead of failing. The issuing thread works
+//     through its own job; threads with no top-level work left help any
+//     published nested job; a thread waiting on its own job helps only
+//     nested jobs (leaf work), never takes a new top-level item. Idle
+//     threads block on a condition variable.
 //
 // Under these rules a run is bit-identical for every thread count,
-// including 1 (which executes inline on the calling thread with no worker
-// threads at all).
+// including 1 (no worker threads at all: the caller runs every item).
 //
 // Thread count resolution: an explicit request wins; otherwise the
 // AIRSHED_THREADS environment variable; otherwise hardware concurrency.
@@ -26,9 +40,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -46,10 +60,22 @@ int env_threads();
 /// AIRSHED_THREADS, then hardware concurrency. Always >= 1.
 int resolve_threads(int requested);
 
+/// Span label of one job: every item of the job becomes one host span on
+/// the lane of the thread that ran it, in `observer` (none when null).
+/// `name` must have static storage duration. The label travels with the
+/// job, so a nested job keeps its own.
+struct JobLabel {
+  const char* name = "pool";
+  PhaseCategory category = PhaseCategory::Communication;
+  int hour = -1;
+  obs::TraceRecorder* observer = nullptr;
+};
+
 /// Fixed-size pool of host worker threads with a deterministic
-/// blocked parallel-for. The calling thread participates as thread 0;
-/// `threads - 1` workers are spawned on construction and joined on
-/// destruction. A pool of 1 thread runs everything inline.
+/// work-claiming parallel-for. The calling thread of a top-level job
+/// participates as thread 0; `threads - 1` workers are spawned on
+/// construction and joined on destruction. At most one thread outside the
+/// pool may run a job on it at a time.
 class WorkerPool {
  public:
   /// `threads` <= 0 resolves via resolve_threads(0).
@@ -61,27 +87,28 @@ class WorkerPool {
 
   int threads() const { return threads_; }
 
-  /// fn(thread, begin, end): thread t processes the contiguous block
-  /// [begin, end) of [0, n). Block boundaries depend only on (n, threads).
-  /// Blocks run concurrently; the call returns after all blocks complete.
-  /// If blocks throw, the exception of the lowest block index is rethrown
-  /// (with contiguous ascending blocks this is the exception the serial
-  /// loop would have hit first).
-  using BlockFn = std::function<void(int thread, std::size_t begin,
-                                     std::size_t end)>;
-  void for_blocks(std::size_t n, const BlockFn& fn);
-
-  /// Per-index convenience: fn(thread, i) for every i in [0, n).
+  /// fn(thread, i) for every i in [0, n); returns after every item ran.
+  /// `thread` is the pool index of the running thread, unique among the
+  /// threads running items at any moment. See the header comment for the
+  /// claiming, rethrow and nesting rules.
+  using ItemFn = std::function<void(int thread, std::size_t item)>;
   template <typename Fn>
-  void for_each(std::size_t n, Fn&& fn) {
-    for_blocks(n, [&fn](int t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(t, i);
-    });
+  void for_each(std::size_t n, Fn&& fn, const JobLabel& label = {}) {
+    run(n, ItemFn(std::ref(fn)), label);
   }
 
-  /// CPU seconds each thread has spent inside pool blocks since the last
-  /// reset (thread CPU time, so oversubscribed hosts report true compute
-  /// cost, not scheduler wait). Index 0 is the calling thread.
+  /// The pool whose item the calling thread is running, and the thread's
+  /// index in it; {nullptr, 0} outside any pool item.
+  struct Current {
+    WorkerPool* pool = nullptr;
+    int thread = 0;
+  };
+  static Current current();
+
+  /// CPU seconds each thread has spent running items since the last reset
+  /// (thread CPU time, so oversubscribed hosts report true compute cost,
+  /// not scheduler wait; a nested item counts once, inside its enclosing
+  /// one). Index 0 is the calling thread.
   std::vector<double> busy_seconds() const;
   void reset_busy();
 
@@ -90,44 +117,22 @@ class WorkerPool {
   /// redistribution engine).
   static WorkerPool& shared();
 
-  /// Attaches (or detaches, with nullptr) a trace recorder: every block a
-  /// thread executes becomes one host span in the recorder, labelled by
-  /// the current phase (set_phase). The recorder must have at least
-  /// threads() lanes and must outlive the pool or be detached first.
-  /// Call only between parallel regions (for_blocks is not reentrant).
-  void set_observer(obs::TraceRecorder* rec) { obs_ = rec; }
-
-  /// Labels the spans of subsequent blocks. Call before each for_blocks /
-  /// for_each; `name` must have static storage duration.
-  void set_phase(const char* name, PhaseCategory cat, int hour = -1) {
-    phase_name_ = name;
-    phase_cat_ = cat;
-    phase_hour_ = hour;
-  }
-
  private:
+  struct Job;
+  void run(std::size_t n, const ItemFn& fn, const JobLabel& label);
   void worker_main(int thread);
-  void run_block(int thread, std::size_t n, const BlockFn& fn);
+  Job* pick(int depth) const;
+  void work(Job& job, int thread, std::unique_lock<std::mutex>& lock);
 
   int threads_ = 1;
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;  // bumped per for_blocks call
-  int pending_ = 0;               // workers still running the current job
-  std::size_t job_n_ = 0;
-  const BlockFn* job_fn_ = nullptr;
+  std::condition_variable cv_;  // a job was published or finished, or stop
+  std::vector<Job*> jobs_;      // published jobs, in publication order
+  bool top_level_ = false;      // a caller outside the pool has a job running
   bool stop_ = false;
-  std::vector<std::exception_ptr> errors_;  // per thread, current job
-  std::vector<double> busy_s_;              // per thread, accumulated
-
-  // Observation (written between parallel regions, read inside them).
-  obs::TraceRecorder* obs_ = nullptr;
-  const char* phase_name_ = "pool";
-  PhaseCategory phase_cat_ = PhaseCategory::Communication;
-  int phase_hour_ = -1;
+  std::vector<double> busy_s_;  // per thread, accumulated
 };
 
 /// Scoped wall-clock timer: accumulates the scope's duration into `*sink`
@@ -152,30 +157,39 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// One default-constructed-from-factory instance of T per pool thread.
-/// The canonical pattern for stateful kernels (YoungBorisSolver,
-/// SupgTransport, VerticalTransport): scratch is reused across items on
-/// the same thread but never shared between threads.
+/// One instance of T per pool thread, built from the factory on the
+/// thread's first access. The canonical pattern for stateful kernels
+/// (YoungBorisSolver, SupgTransport, VerticalTransport): scratch is reused
+/// across items on the same thread but never shared between threads, and
+/// a thread that never runs an item never pays for an instance. Slot t is
+/// touched only by pool thread t, so no locking is needed.
 template <typename T>
 class PerThread {
  public:
   template <typename Factory>
-  PerThread(int threads, Factory&& make) {
-    items_.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) items_.push_back(make());
-  }
+  PerThread(int threads, Factory&& make)
+      : make_(std::forward<Factory>(make)),
+        items_(static_cast<std::size_t>(threads)) {}
 
-  T& operator[](int thread) { return items_[static_cast<std::size_t>(thread)]; }
-  const T& operator[](int thread) const {
-    return items_[static_cast<std::size_t>(thread)];
+  T& operator[](int thread) {
+    std::optional<T>& slot = items_[static_cast<std::size_t>(thread)];
+    if (!slot) slot.emplace(make_());
+    return *slot;
   }
   int size() const { return static_cast<int>(items_.size()); }
 
-  auto begin() { return items_.begin(); }
-  auto end() { return items_.end(); }
+  /// fn(instance) for every instance built so far, in thread order. Call
+  /// only between parallel regions.
+  template <typename Fn>
+  void each_built(Fn&& fn) {
+    for (std::optional<T>& slot : items_) {
+      if (slot) fn(*slot);
+    }
+  }
 
  private:
-  std::vector<T> items_;
+  std::function<T()> make_;
+  std::vector<std::optional<T>> items_;
 };
 
 }  // namespace airshed::par

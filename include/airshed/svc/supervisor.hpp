@@ -135,9 +135,9 @@ const char* to_string(Schedule schedule);
 
 struct BatchOptions {
   std::uint64_t batch_seed = 42;
-  /// Worker-pool size for scenario-level parallelism (0 = AIRSHED_THREADS
-  /// or hardware). Scenario model runs are pinned to host_threads = 1, so
-  /// this is the only parallelism knob.
+  /// Worker-pool size (0 = AIRSHED_THREADS or hardware). Scenarios are the
+  /// pool's items and each scenario's model phases run as nested jobs on
+  /// the same pool, so this is the only parallelism knob.
   int threads = 0;
   /// Fine-grid attempts per scenario before degradation / quarantine.
   int max_attempts = 3;

@@ -12,15 +12,16 @@
 //    or ScalarKernel (the cell-at-a-time reference oracle behind
 //    run_scalar_oracle). Both are bit-identical at every block size and
 //    thread count; the oracle exists to prove it.
-// Everything else — the worker pool and its thread cap, per-thread solver
-// state, rate epochs, HostProfile, trace spans, the block-commit tripwire
-// and checkpoints — exists once, here.
+// Everything else — the worker pool (own or enclosing) and its thread cap,
+// per-thread solver state, rate epochs, HostProfile, trace spans, the
+// block-commit tripwire and checkpoints — exists once, here.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -208,27 +209,42 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
   // Virtual-node kernels run pooled over host threads: transport over
   // layers, chemistry + vertical transport over blocks of columns. Each
   // thread owns its solver instances (scratch is stateful), each item its
-  // output slot, so results are bit-identical for every thread count.
+  // output slot, so results are bit-identical for every thread count. A
+  // run that is itself a pool item (a batch scenario) runs its phases as
+  // nested jobs of that enclosing pool, so idle threads of the batch help
+  // it; any other run builds its own pool.
   const auto setup_start = std::chrono::steady_clock::now();
-  int requested = par::resolve_threads(opts.host_threads);
-  if (!opts.oversubscribe) {
-    // Compute-bound pools gain nothing past the core count; oversubscribing
-    // just adds contention (EXPERIMENTS.md). Results are thread-count
-    // independent, so the cap cannot change any output.
-    requested = std::min(requested, par::hardware_threads());
+  const par::WorkerPool::Current enclosing = par::WorkerPool::current();
+  std::optional<par::WorkerPool> own_pool;
+  if (!enclosing.pool) {
+    int requested = par::resolve_threads(opts.host_threads);
+    if (!opts.oversubscribe) {
+      // Compute-bound pools gain nothing past the core count;
+      // oversubscribing just adds contention (EXPERIMENTS.md). Results are
+      // thread-count independent, so the cap cannot change any output.
+      requested = std::min(requested, par::hardware_threads());
+    }
+    own_pool.emplace(requested);
   }
-  par::WorkerPool pool(requested);
+  par::WorkerPool& pool = enclosing.pool ? *enclosing.pool : *own_pool;
+  const int self = enclosing.thread;  // this run's serial-phase lane
   const int nthreads = pool.threads();
   const kernel::KernelOptions& ko = opts.kernel;
   const std::size_t cell_block =
       static_cast<std::size_t>(std::max(1, ko.block));
 
-  // One instance of every stateful operator per pool thread.
+  // One instance of every stateful operator per pool thread, built on the
+  // thread's first item of this run. Rate constants frozen on (temp, sun)
+  // are reusable within the hour: a solver built mid-run starts in the
+  // current hour's epoch.
+  int rate_epoch = from ? from->next_hour : 0;
   par::PerThread<Transport> transport_ops(
       nthreads, [&] { return grid.transport(opts.transport); });
   par::PerThread<YoungBorisBlockSolver> chem_solvers(nthreads, [&] {
-    return YoungBorisBlockSolver(Mechanism::cb4_condensed(), opts.chem,
+    YoungBorisBlockSolver solver(Mechanism::cb4_condensed(), opts.chem,
                                  ko.lane_mode);
+    solver.set_rate_epoch(rate_epoch);
+    return solver;
   });
   par::PerThread<VerticalTransport> vert_ops(
       nthreads, [&] { return VerticalTransport(grid.layer_dz_m()); });
@@ -247,7 +263,6 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
     AIRSHED_REQUIRE(rec->threads() >= nthreads,
                     "ModelOptions::trace recorder has fewer lanes than the "
                     "resolved host thread count");
-    pool.set_observer(rec);
   }
 
   std::array<double, kSpeciesCount> background{};
@@ -264,17 +279,16 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
 
   for (int h = from ? from->next_hour : 0; h < opts.hours; ++h) {
     const double hour_start = opts.start_hour + h;
-    // Rate constants frozen on (temp, sun) are reusable within the hour.
-    for (YoungBorisBlockSolver& solver : chem_solvers) {
-      solver.set_rate_epoch(h);
-    }
+    rate_epoch = h;
+    chem_solvers.each_built(
+        [h](YoungBorisBlockSolver& solver) { solver.set_rate_epoch(h); });
     const HourlyInputs in = [&] {
       par::PhaseTimer timer(prof ? &prof->io_s : nullptr);
-      obs::ObsSpan span(rec, 0, "inputhour", PhaseCategory::IoProcessing, h);
+      obs::ObsSpan span(rec, self, "inputhour", PhaseCategory::IoProcessing, h);
       HourlyInputs sampled =
           sample_hourly_inputs(grid.xy(), nl, grid.met(), grid.emissions(),
                                opts.io_work, static_cast<int>(hour_start));
-      sampled.nsteps = cfl_steps_per_hour(transport_ops[0], sampled);
+      sampled.nsteps = cfl_steps_per_hour(transport_ops[self], sampled);
       return sampled;
     }();
 
@@ -291,39 +305,38 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
       step.chem_column_work.assign(nv, 0.0);
 
       // Layers are independent (both transport operators are
-      // layer-local); each thread advances its own block of layers with
-      // its own operator.
+      // layer-local); each layer is one pool item, advanced with the
+      // running thread's own operator.
       auto transport_half = [&](std::vector<double>& layer_work) {
         par::PhaseTimer timer(prof ? &prof->transport_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "transport Lxy", PhaseCategory::Transport,
-                           h);
-        pool.set_phase("transport Lxy", PhaseCategory::Transport, h);
-        pool.for_each(static_cast<std::size_t>(nl), [&](int t, std::size_t k) {
-          obs::ObsSpan layer(rec, t, "transport layer",
-                             PhaseCategory::Transport, h);
-          layer_work[k] =
-              Kernel::transport(transport_ops[t], conc, k, in.wind_kmh[k],
-                                in.kh_km2h, 0.5 * dt_hours, background)
-                  .work_flops;
-        });
+        obs::ObsSpan phase(rec, self, "transport Lxy",
+                           PhaseCategory::Transport, h);
+        pool.for_each(
+            static_cast<std::size_t>(nl),
+            [&](int t, std::size_t k) {
+              obs::ObsSpan layer(rec, t, "transport layer",
+                                 PhaseCategory::Transport, h);
+              layer_work[k] =
+                  Kernel::transport(transport_ops[t], conc, k, in.wind_kmh[k],
+                                    in.kh_km2h, 0.5 * dt_hours, background)
+                      .work_flops;
+            });
       };
 
       // ---- Transport, first half step (Lxy, dt/2) ----------------------
       transport_half(step.transport1_layer_work);
 
       // ---- Chemistry + vertical transport (Lcz, dt) ---------------------
-      // Contiguous blocks of columns; a block is owned by one thread and
-      // one output range, so the airshed::par fixed-block contract holds
-      // and results stay bit-identical at every thread count and block
-      // size.
+      // Contiguous blocks of columns; each block is one pool item owning
+      // one output range, so results stay bit-identical at every thread
+      // count and block size whichever thread claims it.
       {
         const double t_mid = t_step + 0.5 * dt_hours;
         const double sun = grid.met().photolysis_factor(t_mid);
         const double dt_min = dt_hours * 60.0;
         par::PhaseTimer timer(prof ? &prof->chemistry_s : nullptr);
-        obs::ObsSpan phase(rec, 0, "chemistry Lcz", PhaseCategory::Chemistry,
-                           h);
-        pool.set_phase("chemistry Lcz", PhaseCategory::Chemistry, h);
+        obs::ObsSpan phase(rec, self, "chemistry Lcz",
+                           PhaseCategory::Chemistry, h);
         const std::size_t nblocks = (nv + cell_block - 1) / cell_block;
         pool.for_each(nblocks, [&](int t, std::size_t blk) {
           obs::ObsSpan block(rec, t, "chem block", PhaseCategory::Chemistry, h);
@@ -368,7 +381,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
       // ---- Aerosol (sequential, replicated) ------------------------------
       {
         par::PhaseTimer timer(prof ? &prof->aerosol_s : nullptr);
-        obs::ObsSpan span(rec, 0, "aerosol", PhaseCategory::Aerosol, h);
+        obs::ObsSpan span(rec, self, "aerosol", PhaseCategory::Aerosol, h);
         step.aerosol_work =
             aerosol.equilibrate(conc, pm, in.layer_temp_k).work_flops;
       }
@@ -382,7 +395,8 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
     // ---- outputhour ------------------------------------------------------
     const HourlyStats stats = [&] {
       par::PhaseTimer timer(prof ? &prof->io_s : nullptr);
-      obs::ObsSpan span(rec, 0, "outputhour", PhaseCategory::IoProcessing, h);
+      obs::ObsSpan span(rec, self, "outputhour", PhaseCategory::IoProcessing,
+                        h);
       return grid.stats(conc, pm, static_cast<int>(hour_start));
     }();
     hour_trace.output_work = output_work;
@@ -390,7 +404,7 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
     result.trace.hours.push_back(std::move(hour_trace));
     if (on_hour) on_hour(stats, conc);
     if (on_checkpoint) {
-      obs::ObsSpan span(rec, 0, "checkpoint", PhaseCategory::Recovery, h);
+      obs::ObsSpan span(rec, self, "checkpoint", PhaseCategory::Recovery, h);
       CheckpointRecord record;
       record.dataset = grid.name();
       record.next_hour = h + 1;
@@ -401,10 +415,11 @@ ModelRunResult run_hours(const Grid& grid, const ModelOptions& opts,
   }
 
   if (prof) {
-    prof->thread_busy_s = pool.busy_seconds();
-    for (const YoungBorisBlockSolver& solver : chem_solvers) {
+    // An enclosing pool's busy time is shared with the other runs on it.
+    if (own_pool) prof->thread_busy_s = own_pool->busy_seconds();
+    chem_solvers.each_built([prof](YoungBorisBlockSolver& solver) {
       add_counters(*prof, solver.scalar());
-    }
+    });
   }
   return result;
 }

@@ -150,8 +150,9 @@ Table sweep_table(const WorkTrace& trace, const MachineModel& machine,
            "I/O (s)", "comm (s)", "speedup"});
   double first = 0.0;
   for (int p : node_counts) {
-    const RunReport r =
-        simulate_execution(trace, ExecutionConfig{machine, p, strategy});
+    const RunReport r = simulate_execution(
+        trace, ExecutionConfig{.machine = machine, .nodes = p,
+                               .strategy = strategy});
     if (first == 0.0) first = r.total_seconds * p;
     t.row()
         .add(p)

@@ -178,8 +178,8 @@ RunReport simulate_airshed_popexp(const WorkTrace& trace,
   // overlap buys; the alternative schedule runs Airshed data-parallel on
   // the whole machine and PopExp after each hour on the same nodes.
   const RunReport dp = simulate_execution(
-      trace, ExecutionConfig{config.machine, config.nodes,
-                             Strategy::DataParallel});
+      trace, ExecutionConfig{.machine = config.machine, .nodes = config.nodes,
+                             .strategy = Strategy::DataParallel});
   const double serialized =
       dp.total_seconds +
       static_cast<double>(dead_from) *

@@ -561,7 +561,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
   // time and the obs counters move.
   SharedInputCache input_cache;
   par::WorkerPool pool(o.threads);
-  if (o.trace) pool.set_observer(o.trace);
 
   // Executes one attempt of `slot` on pool thread `t`, catching everything:
   // a scenario failure must never escape into the pool (which would rethrow
@@ -593,7 +592,6 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
     try {
       ModelOptions mo;
       mo.hours = slot.spec.hours;
-      mo.host_threads = 1;  // scenario-level parallelism only: no nested pools
       HostProfile attempt_prof;
       mo.profile = &attempt_prof;
 
@@ -780,9 +778,12 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
   // round-robins across dataset groups so one dataset's long scenarios
   // cannot starve another's. Pure in (specs, schedule): identical at any
   // thread count, and outcomes never depend on it. Wall time does:
-  // pool.for_each deals this order out in fixed contiguous blocks, so it
-  // decides which lane runs which scenario (and, when max_in_flight or a
-  // breaker probe truncates the round, which scenarios run at all).
+  // pool.for_each starts each lane on its own contiguous home range of
+  // this order and lets a lane that runs dry claim the tail of the fullest
+  // range, so the order shapes which lane runs which scenario (and, when
+  // max_in_flight or a breaker probe truncates the round, which scenarios
+  // run at all). Lanes with no scenario left help the running ones'
+  // chemistry and transport.
   const auto dispatch_order =
       [&](const std::vector<std::size_t>& pend) -> std::vector<std::size_t> {
     if (o.schedule == Schedule::Fifo) return pend;
@@ -855,10 +856,10 @@ BatchReport BatchSupervisor::run(const std::vector<ScenarioSpec>& specs) {
       }
     }
 
-    pool.set_phase("svc attempt", PhaseCategory::Recovery, round);
-    pool.for_each(runnable.size(), [&](int t, std::size_t i) {
-      run_attempt(slots[runnable[i]], t);
-    });
+    pool.for_each(
+        runnable.size(),
+        [&](int t, std::size_t i) { run_attempt(slots[runnable[i]], t); },
+        {"svc attempt", PhaseCategory::Recovery, round, o.trace});
 
     // Serial decision pass in scenario-id order: breaker accounting and
     // retry / degrade / quarantine transitions are execution-order-free.

@@ -178,7 +178,7 @@ TEST(WorkTraceIo, LoadRejectsBadFile) {
 
 TEST(Executor, SingleNodeHasNoNetworkCommunication) {
   const RunReport r = simulate_execution(
-      shared_run().trace, ExecutionConfig{cray_t3e(), 1});
+      shared_run().trace, ExecutionConfig{.machine = cray_t3e(), .nodes = 1});
   // P=1: redistributions degenerate to local copies (H-cost only).
   EXPECT_GT(r.total_seconds, 0.0);
   EXPECT_GT(r.comm.phases, 0);
@@ -188,15 +188,19 @@ TEST(Executor, TimeDecreasesWithNodesThenSaturates) {
   const WorkTrace& t = shared_run().trace;
   double prev = 1e18;
   for (int p : {1, 2, 4, 8, 16, 32}) {
-    const RunReport r = simulate_execution(t, ExecutionConfig{cray_t3e(), p});
+    const RunReport r = simulate_execution(
+        t, ExecutionConfig{.machine = cray_t3e(), .nodes = p});
     EXPECT_LT(r.total_seconds, prev * 1.001) << "P=" << p;
     prev = r.total_seconds;
   }
   // Saturation: sequential I/O + transport bound the speedup.
   const double t64 =
-      simulate_execution(t, ExecutionConfig{cray_t3e(), 64}).total_seconds;
+      simulate_execution(t, ExecutionConfig{.machine = cray_t3e(), .nodes = 64})
+          .total_seconds;
   const double t128 =
-      simulate_execution(t, ExecutionConfig{cray_t3e(), 128}).total_seconds;
+      simulate_execution(t,
+                         ExecutionConfig{.machine = cray_t3e(), .nodes = 128})
+          .total_seconds;
   EXPECT_GT(t128 / t64, 0.85) << "no meaningful speedup left at 128 nodes";
 }
 
@@ -205,10 +209,13 @@ TEST(Executor, MachineRatiosCarryOver) {
   const WorkTrace& t = shared_run().trace;
   for (int p : {4, 16, 64}) {
     const double paragon =
-        simulate_execution(t, ExecutionConfig{intel_paragon(), p})
+        simulate_execution(
+            t, ExecutionConfig{.machine = intel_paragon(), .nodes = p})
             .total_seconds;
     const double t3e =
-        simulate_execution(t, ExecutionConfig{cray_t3e(), p}).total_seconds;
+        simulate_execution(t,
+                           ExecutionConfig{.machine = cray_t3e(), .nodes = p})
+            .total_seconds;
     const double ratio = paragon / t3e;
     EXPECT_GT(ratio, 6.0) << "P=" << p;
     EXPECT_LT(ratio, 14.0) << "P=" << p;
@@ -218,7 +225,8 @@ TEST(Executor, MachineRatiosCarryOver) {
 TEST(Executor, TransportPhaseSaturatesAtLayerCount) {
   const WorkTrace& t = shared_run().trace;  // 3 layers
   const auto trans = [&](int p) {
-    return simulate_execution(t, ExecutionConfig{cray_t3e(), p})
+    return simulate_execution(
+               t, ExecutionConfig{.machine = cray_t3e(), .nodes = p})
         .ledger.category_seconds(PhaseCategory::Transport);
   };
   EXPECT_GT(trans(1), trans(3) * 1.5);
@@ -229,7 +237,8 @@ TEST(Executor, TransportPhaseSaturatesAtLayerCount) {
 TEST(Executor, IoPhaseIsConstantInNodes) {
   const WorkTrace& t = shared_run().trace;
   const auto io = [&](int p) {
-    return simulate_execution(t, ExecutionConfig{cray_t3e(), p})
+    return simulate_execution(
+               t, ExecutionConfig{.machine = cray_t3e(), .nodes = p})
         .ledger.category_seconds(PhaseCategory::IoProcessing);
   };
   EXPECT_DOUBLE_EQ(io(1), io(16));
@@ -239,7 +248,8 @@ TEST(Executor, IoPhaseIsConstantInNodes) {
 TEST(Executor, ChemistryScalesNearlyLinearlyAtSmallP) {
   const WorkTrace& t = shared_run().trace;
   const auto chem = [&](int p) {
-    return simulate_execution(t, ExecutionConfig{cray_t3e(), p})
+    return simulate_execution(
+               t, ExecutionConfig{.machine = cray_t3e(), .nodes = p})
         .ledger.category_seconds(PhaseCategory::Chemistry);
   };
   EXPECT_NEAR(chem(2) / chem(4), 2.0, 0.35);
@@ -248,7 +258,8 @@ TEST(Executor, ChemistryScalesNearlyLinearlyAtSmallP) {
 
 TEST(Executor, CommPhaseCountsMatchLoopStructure) {
   const WorkTrace& t = shared_run().trace;
-  const RunReport r = simulate_execution(t, ExecutionConfig{cray_t3e(), 8});
+  const RunReport r =
+      simulate_execution(t, ExecutionConfig{.machine = cray_t3e(), .nodes = 8});
   // Per hour: 3 per step (D_Trans->D_Chem, D_Chem->D_Repl, D_Repl->D_Trans
   // after aerosol) + first-step D_Repl->D_Trans + hour-end D_Trans->D_Repl.
   long long expect = 0;
@@ -263,7 +274,8 @@ TEST(Executor, CommPhaseCountsMatchLoopStructure) {
 
 TEST(Executor, TotalEqualsLedgerForDataParallel) {
   const WorkTrace& t = shared_run().trace;
-  const RunReport r = simulate_execution(t, ExecutionConfig{cray_t3d(), 16});
+  const RunReport r = simulate_execution(
+      t, ExecutionConfig{.machine = cray_t3d(), .nodes = 16});
   EXPECT_NEAR(r.total_seconds, r.ledger.total_seconds(), 1e-9);
 }
 
@@ -275,11 +287,13 @@ TEST(Executor, TaskParallelBeatsDataParallelAtScale) {
   // HPF ceil-block quantization.
   const WorkTrace& t = shared_run().trace;
   const double dp =
-      simulate_execution(t, ExecutionConfig{intel_paragon(), 34})
+      simulate_execution(
+          t, ExecutionConfig{.machine = intel_paragon(), .nodes = 34})
           .total_seconds;
   const double tp =
-      simulate_execution(t, ExecutionConfig{intel_paragon(), 34,
-                                            Strategy::TaskAndDataParallel})
+      simulate_execution(
+          t, ExecutionConfig{.machine = intel_paragon(), .nodes = 34,
+                             .strategy = Strategy::TaskAndDataParallel})
           .total_seconds;
   EXPECT_LT(tp, dp);
 }
@@ -291,11 +305,13 @@ TEST(Executor, TaskParallelNeverLosesToDataParallel) {
   const WorkTrace& t = shared_run().trace;
   for (int p : {4, 8, 16, 64, 128}) {
     const double dp =
-        simulate_execution(t, ExecutionConfig{intel_paragon(), p})
+        simulate_execution(
+            t, ExecutionConfig{.machine = intel_paragon(), .nodes = p})
             .total_seconds;
     const double tp =
-        simulate_execution(t, ExecutionConfig{intel_paragon(), p,
-                                              Strategy::TaskAndDataParallel})
+        simulate_execution(
+            t, ExecutionConfig{.machine = intel_paragon(), .nodes = p,
+                               .strategy = Strategy::TaskAndDataParallel})
             .total_seconds;
     EXPECT_LE(tp, dp * 1.0000001) << "P=" << p;
   }
@@ -303,9 +319,10 @@ TEST(Executor, TaskParallelNeverLosesToDataParallel) {
 
 TEST(Executor, TaskParallelNeedsThreeNodes) {
   EXPECT_THROW(
-      simulate_execution(shared_run().trace,
-                         ExecutionConfig{cray_t3e(), 2,
-                                         Strategy::TaskAndDataParallel}),
+      simulate_execution(
+          shared_run().trace,
+          ExecutionConfig{.machine = cray_t3e(), .nodes = 2,
+                          .strategy = Strategy::TaskAndDataParallel}),
       Error);
 }
 
@@ -325,9 +342,10 @@ TEST(Executor, PipelineStageTimesMatchHourMainSeconds) {
 
 TEST(Executor, RejectsBadConfig) {
   EXPECT_THROW(
-      simulate_execution(shared_run().trace, ExecutionConfig{cray_t3e(), 0}),
+      simulate_execution(shared_run().trace,
+                         ExecutionConfig{.machine = cray_t3e(), .nodes = 0}),
       Error);
-  ExecutionConfig too_big{cray_t3e(), 100000};
+  ExecutionConfig too_big{.machine = cray_t3e(), .nodes = 100000};
   EXPECT_THROW(simulate_execution(shared_run().trace, too_big), Error);
 }
 

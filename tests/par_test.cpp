@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -39,17 +42,97 @@ TEST(WorkerPool, ForEachCoversEveryIndexExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(WorkerPool, BlocksAreContiguousAscendingAndFixed) {
-  par::WorkerPool pool(3);
-  std::vector<std::pair<std::size_t, std::size_t>> blocks(3, {0, 0});
-  pool.for_blocks(10, [&](int t, std::size_t begin, std::size_t end) {
-    blocks[static_cast<std::size_t>(t)] = {begin, end};
+/// Burns roughly `us` microseconds of wall time on the calling thread.
+void busy_wait_us(int us) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(WorkerPool, SkewedItemsRunExactlyOnceAtEveryThreadCount) {
+  for (int threads : {1, 2, 3, 4}) {
+    par::WorkerPool pool(threads);
+    std::vector<std::atomic<int>> hits(64);
+    std::vector<int> ran_on(hits.size(), -1);
+    // The first home range is ten times as costly as the rest, so the
+    // other threads run dry early and claim its tail.
+    pool.for_each(hits.size(), [&](int t, std::size_t i) {
+      busy_wait_us(i < hits.size() / 4 ? 2000 : 200);
+      ++hits[i];
+      ran_on[i] = t;
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << threads << " threads, item " << i;
+      EXPECT_GE(ran_on[i], 0);
+      EXPECT_LT(ran_on[i], threads);
+    }
+  }
+}
+
+TEST(WorkerPool, NestedForEachCoversEveryIndexOnThePoolsThreads) {
+  par::WorkerPool pool(4);
+  constexpr std::size_t kOuter = 6, kInner = 40;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::mutex mu;
+  std::set<std::thread::id> os_threads;
+  pool.for_each(kOuter, [&](int outer_t, std::size_t o) {
+    EXPECT_EQ(par::WorkerPool::current().pool, &pool);
+    EXPECT_EQ(par::WorkerPool::current().thread, outer_t);
+    // Uneven outer items: short ones finish early and their threads help
+    // the long ones' nested jobs.
+    const int cost = o % 3 == 0 ? 1000 : 100;
+    pool.for_each(kInner, [&](int t, std::size_t i) {
+      EXPECT_GE(t, 0);
+      EXPECT_LT(t, 4);
+      busy_wait_us(cost);
+      ++hits[o * kInner + i];
+      std::lock_guard<std::mutex> lock(mu);
+      os_threads.insert(std::this_thread::get_id());
+    });
   });
-  // [0,n) split into 3 contiguous blocks owned by thread index.
-  EXPECT_EQ(blocks[0].first, 0u);
-  EXPECT_EQ(blocks[0].second, blocks[1].first);
-  EXPECT_EQ(blocks[1].second, blocks[2].first);
-  EXPECT_EQ(blocks[2].second, 10u);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_LE(os_threads.size(), 4u);
+  EXPECT_EQ(par::WorkerPool::current().pool, nullptr);
+}
+
+TEST(WorkerPool, NestedExceptionsRethrowLowestIndexAndPoolIsReusable) {
+  par::WorkerPool pool(4);
+  for (int rep = 0; rep < 5; ++rep) {
+    std::atomic<bool> helper_threw{false};
+    try {
+      pool.for_each(4, [&](int issuer, std::size_t o) {
+        if (o == 3) throw std::runtime_error("outer 3");
+        if (o != 1) return;  // items 0 and 2 finish at once and help
+        pool.for_each(64, [&](int t, std::size_t i) {
+          busy_wait_us(200);
+          if (t == issuer) {
+            // Hold the issuer until a helper has run (and thrown from) one
+            // of this job's items, so the helper path is always exercised.
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!helper_threw &&
+                   std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::yield();
+            }
+          }
+          if (i >= 10) {
+            if (t != issuer) helper_threw = true;
+            throw std::runtime_error("inner " + std::to_string(i));
+          }
+        });
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      // The nested job rethrows its lowest failing item inside outer item
+      // 1, which is below outer item 3's own failure.
+      EXPECT_STREQ(e.what(), "inner 10");
+    }
+    EXPECT_TRUE(helper_threw);
+  }
+  std::vector<std::atomic<int>> hits(32);
+  pool.for_each(hits.size(), [&](int, std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(WorkerPool, EmptyRangeIsANoOp) {

@@ -1001,5 +1001,76 @@ TEST_F(SvcDir, SigkillResumeWithThroughputEngineIsByteIdentical) {
   }
 }
 
+/// Idle lanes help running scenarios with their chemistry and transport
+/// (nested jobs on the batch's one pool). That is wall time only: for a
+/// mixed-length batch and for a poisoned one whose NumericalError text
+/// lands in the canonical report, the report, the journal and the archive
+/// are byte-identical at 1, 2 and 4 threads, and fair reaches the same
+/// outcomes and archive as fifo.
+TEST_F(SvcDir, NestedHelpKeepsBatchBytesIdentical) {
+  JobMixOptions mix = tiny_mix(5);
+  mix.hours_max = 3;
+  const auto specs = svc::make_job_mix(5, mix);
+  struct Batch {
+    const char* name;
+    std::vector<int> poison;
+  };
+  for (const Batch& batch : {Batch{"mixed", {}}, Batch{"poison", {1}}}) {
+    std::map<std::string, std::map<std::string, std::string>> archives;
+    std::map<std::string, BatchReport> reports;
+    for (svc::Schedule schedule : {svc::Schedule::Fifo, svc::Schedule::Fair}) {
+      const std::string key = svc::to_string(schedule);
+      std::string ref_json, ref_journal;
+      for (int threads : {1, 2, 4}) {
+        const std::string dir =
+            path(std::string(batch.name) + "_" + key + std::to_string(threads));
+        BatchOptions opts = journaled_opts(5, dir);
+        opts.threads = threads;
+        opts.schedule = schedule;
+        opts.max_attempts = 2;
+        opts.chaos.poison_scenarios = batch.poison;
+        const BatchReport report = BatchSupervisor(opts).run(specs);
+        const std::string json = report.canonical_json().str();
+        const std::string journal = durable::read_file_bytes(opts.journal_path);
+        const auto files = archive_bytes(dir);
+        const std::string where =
+            std::string(batch.name) + " " + key + " threads=" +
+            std::to_string(threads);
+        if (threads == 1) {
+          ref_json = json;
+          ref_journal = journal;
+          archives[key] = files;
+          reports[key] = report;
+        } else {
+          EXPECT_EQ(json, ref_json) << where;
+          EXPECT_EQ(journal, ref_journal) << where;
+          EXPECT_EQ(files, archives[key]) << where;
+        }
+      }
+    }
+    EXPECT_EQ(archives["fair"], archives["fifo"]) << batch.name;
+    const BatchReport& fair = reports["fair"];
+    const BatchReport& fifo = reports["fifo"];
+    ASSERT_EQ(fair.results.size(), fifo.results.size());
+    for (std::size_t i = 0; i < fair.results.size(); ++i) {
+      const svc::ScenarioResult& a = fair.results[i];
+      const svc::ScenarioResult& b = fifo.results[i];
+      EXPECT_EQ(a.status, b.status) << batch.name << " " << i;
+      EXPECT_EQ(a.checksum, b.checksum) << batch.name << " " << i;
+      EXPECT_EQ(a.quarantine_reason, b.quarantine_reason) << batch.name;
+      ASSERT_EQ(a.attempts.size(), b.attempts.size()) << batch.name << " " << i;
+      for (std::size_t k = 0; k < a.attempts.size(); ++k) {
+        EXPECT_EQ(a.attempts[k].error, b.attempts[k].error) << batch.name;
+      }
+    }
+    if (!batch.poison.empty()) {
+      const svc::ScenarioResult& r = fair.results[1];
+      ASSERT_FALSE(r.attempts.empty());
+      EXPECT_NE(r.attempts.front().error.find("non-finite"), std::string::npos)
+          << r.attempts.front().error;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace airshed

@@ -55,7 +55,8 @@ TEST(UniformModel, TransportScalesBeyondLayerCount) {
   // P = layers, unlike the multiscale operator.
   const WorkTrace& t = shared_uniform_run().trace;  // 3 layers, 10 rows
   const auto trans = [&](int p) {
-    return simulate_execution(t, ExecutionConfig{cray_t3e(), p})
+    return simulate_execution(
+               t, ExecutionConfig{.machine = cray_t3e(), .nodes = p})
         .ledger.category_seconds(PhaseCategory::Transport);
   };
   EXPECT_LT(trans(6), trans(3) * 0.75);
@@ -69,7 +70,8 @@ TEST(UniformModel, MultiscaleTraceStillSaturatesAtLayers) {
   WorkTrace t = shared_uniform_run().trace;
   t.transport_row_parallelism = 1;
   const auto trans = [&](int p) {
-    return simulate_execution(t, ExecutionConfig{cray_t3e(), p})
+    return simulate_execution(
+               t, ExecutionConfig{.machine = cray_t3e(), .nodes = p})
         .ledger.category_seconds(PhaseCategory::Transport);
   };
   EXPECT_DOUBLE_EQ(trans(3), trans(30));
